@@ -9,10 +9,10 @@ GeneratedCase`) and checks one cross-layer agreement property:
                       consistency, board-determined speakers).
 ``batched-vs-legacy`` the batched tree walk is *bit-identical* to an
                       independent per-input DFS reference.
-``vectorized-vs-legacy`` the numpy kernel engine, the dict-driven
-                      legacy engine, and an independent lockstep
-                      group-by re-derivation produce *bit-identical*
-                      joint laws (the ``--kernel`` contract).
+``vectorized-vs-legacy`` the numpy array tree walk and the dict-driven
+                      walk produce *bit-identical* leaf tables, and the
+                      production joint law equals an independent
+                      lockstep group-by re-derivation.
 ``exact-vs-mc``       the exact analyzer's information cost lies in the
                       Monte-Carlo estimator's bootstrap interval
                       (widened by the plug-in bias allowance).
@@ -189,58 +189,83 @@ class BatchedTreeOracle(Oracle):
 
 
 class VectorizedKernelOracle(Oracle):
-    """Vectorized kernel engine == legacy engine == independent group-by
-    re-derivation, item-for-item.
+    """Array tree walk == dict tree walk, leaf for leaf; production joint
+    law == independent group-by re-derivation, item for item.
 
-    The production comparison pits the two real engines of
-    :func:`repro.core.tree.batched_joint_transcript_distribution`
-    against each other (``repro.perf.kernels`` array walk vs the
-    dict-driven walk) — the bit-identity contract the ``--kernel`` flag
-    relies on.  The planted-bug self-test routes the independent
-    lockstep re-derivation (:func:`repro.check.mutations.
-    vectorized_reference`) into the same comparison with a
-    partition-order or lexsort-axis defect, proving an engine bug of
-    either class cannot slip through item comparison.  Skipped (as a
-    pass) when numpy is unavailable — there is no vectorized engine to
-    differ.
+    The two real engines behind :func:`repro.core.tree.
+    batched_joint_transcript_distribution` are called directly on the
+    case's input tuples: :func:`repro.perf.kernels.
+    tree_walk_sorted_leaves` (the array walk every dense-codable
+    population takes) and :func:`repro.core.tree.
+    _legacy_walk_sorted_leaves` (the dict walk, the fallback for inputs
+    that cannot be dense-coded and the reference here).  Their leaf
+    tables — per-input leaf counts, boards and float probabilities, in
+    per-input DFS order — must be identical.  The planted-bug self-test
+    routes the independent lockstep re-derivation
+    (:func:`repro.check.mutations.vectorized_reference`) into the
+    comparison with the production joint law, with a partition-order or
+    lexsort-axis defect, proving an engine bug of either class cannot
+    slip through item comparison.
     """
 
     name = "vectorized-vs-legacy"
     bugs = mutations.VECTORIZED_BUGS
 
     def check(self, case: GeneratedCase, bug: Optional[str] = None) -> OracleResult:
+        from ..core import tree
         from ..perf import kernels
 
-        if not kernels.numpy_available():
-            return self._ok("skipped: numpy unavailable")
+        input_keys = list(
+            dict.fromkeys(tuple(x) for x, _p in case.input_dist.items())
+        )
+        dict_rows, array_rows = (
+            _leaf_rows(
+                walk(
+                    case.protocol,
+                    input_keys,
+                    max_messages=tree.DEFAULT_MAX_MESSAGES,
+                )[0]
+            )
+            for walk in (
+                tree._legacy_walk_sorted_leaves,
+                kernels.tree_walk_sorted_leaves,
+            )
+        )
+        if array_rows != dict_rows:
+            detail = _first_item_mismatch(array_rows, dict_rows)
+            return self._fail(
+                f"array walk is not bit-identical to the dict walk: {detail}"
+            )
+
         scenarios = case.input_dist.map(lambda x: (x,))
-        with kernels.using_kernel("legacy"):
-            legacy = batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
-        with kernels.using_kernel("vectorized"):
-            vectorized = batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
+        production = batched_joint_transcript_distribution(
+            case.protocol, scenarios, names=("inputs",)
+        )
         reference = mutations.vectorized_reference(
             case.protocol, scenarios, names=("inputs",), bug=bug
         )
-        legacy_items = list(legacy.items())
-        for label, other in (
-            ("vectorized engine", vectorized),
-            ("group-by reference", reference),
-        ):
-            other_items = list(other.items())
-            if other_items != legacy_items:
-                detail = _first_item_mismatch(other_items, legacy_items)
-                return self._fail(
-                    f"{label} is not bit-identical to the legacy engine: "
-                    f"{detail}"
-                )
+        production_items = list(production.items())
+        reference_items = list(reference.items())
+        if reference_items != production_items:
+            detail = _first_item_mismatch(reference_items, production_items)
+            return self._fail(
+                "group-by reference is not bit-identical to the production "
+                f"joint law: {detail}"
+            )
         return self._ok(
-            f"{len(legacy_items)} joint outcomes bit-identical across "
-            "engines"
+            f"{len(array_rows)} leaf rows and {len(production_items)} "
+            "joint outcomes bit-identical across engines"
         )
+
+
+def _leaf_rows(
+    leaf_table: Tuple[List[int], List[Any], List[float]]
+) -> List[Tuple[int, Any, float]]:
+    """A tree walk's ``(counts, boards, probabilities)`` leaf table as
+    ``(input index, board, probability)`` rows."""
+    counts, boards, probabilities = leaf_table
+    owners = [index for index, count in enumerate(counts) for _ in range(count)]
+    return list(zip(owners, boards, probabilities))
 
 
 def _first_item_mismatch(

@@ -554,9 +554,11 @@ class BatchedDartSampler:
         seeds: Optional[Sequence[int]] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        import numpy
+
         from ..perf import kernels
 
-        self._np = kernels.require_numpy()
+        self._np = numpy
         self._ordered_sum = kernels.ordered_sum
         self._count_call = kernels._count_call
         if not cells:
@@ -837,9 +839,8 @@ def expected_round_cost(
 # ----------------------------------------------------------------------
 # Exact samplers for the auxiliary laws.  Each draws from a single
 # ``random.Random`` so that a cell's RNG stream is fully reproducible;
-# the batched sampler above reuses these scalar draws per cell (numpy —
-# now a real dependency, see ``repro.perf.kernels`` — only vectorizes
-# the draw-free curve-mass and cumulative-table work).
+# the batched sampler above reuses these scalar draws per cell (numpy
+# only vectorizes the draw-free curve-mass and cumulative-table work).
 # ----------------------------------------------------------------------
 def _sample_geometric(rng: random.Random, p: float) -> int:
     """Number of trials to first success, support {1, 2, ...}."""

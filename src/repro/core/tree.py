@@ -361,10 +361,11 @@ def batched_joint_transcript_distribution(
 
     # ------------------------------------------------------------------
     # Pass 2: one DFS over the *union* protocol tree.  Each node carries
-    # the population of input tuples that reach its board.  Under the
-    # vectorized kernel (repro.perf.kernels) the population is index /
-    # probability / index-path arrays and partitioning is a group-by;
-    # the legacy walk below carries a mapping
+    # the population of input tuples that reach its board.  The array
+    # walk (repro.perf.kernels) carries the population as index /
+    # probability / index-path arrays and partitions it by group-by;
+    # when the input coordinates cannot be dense-coded, the dict walk
+    # below carries a mapping
     # input tuple -> (probability of this path under that input,
     #                 child-index path in that input's own enumeration).
     # Either way the index path lets us replay, per input, the exact leaf
@@ -374,22 +375,18 @@ def batched_joint_transcript_distribution(
     # ------------------------------------------------------------------
     from ..perf import kernels
 
-    leaf_table = None
-    if kernels.use_vectorized():
-        try:
-            leaf_table, nodes_expanded, union_leaf_count, max_depth = (
-                kernels.tree_walk_sorted_leaves(
-                    protocol,
-                    input_keys,
-                    max_messages=max_messages,
-                    memo=memo,
-                )
+    try:
+        leaf_table, nodes_expanded, union_leaf_count, max_depth = (
+            kernels.tree_walk_sorted_leaves(
+                protocol,
+                input_keys,
+                max_messages=max_messages,
+                memo=memo,
             )
-        except TypeError:
-            # Unhashable input coordinates cannot be dense-coded; the
-            # dict-driven walk handles them.
-            leaf_table = None
-    if leaf_table is None:
+        )
+    except TypeError:
+        # Unhashable input coordinates cannot be dense-coded; the
+        # dict-driven walk handles them.
         leaf_table, nodes_expanded, union_leaf_count, max_depth = (
             _legacy_walk_sorted_leaves(
                 protocol, input_keys, max_messages=max_messages, memo=memo
@@ -438,7 +435,9 @@ def _legacy_walk_sorted_leaves(
     max_messages: int = DEFAULT_MAX_MESSAGES,
     memo: Optional[MessageDistributionMemo] = None,
 ) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
-    """The dict-driven shared walk (the ``legacy`` kernel's engine).
+    """The dict-driven shared walk: the engine for inputs the array walk
+    cannot dense-code, and the reference the bit-identity tests and the
+    ``vectorized-vs-legacy`` oracle compare that walk against.
 
     Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
     where ``leaf_table = (counts, boards, probabilities)`` concatenates
@@ -558,7 +557,7 @@ def _assemble_joint(
     memo_before: Tuple[int, int],
 ) -> JointDistribution:
     """Scenario-mass accumulation + observability tail shared by the
-    legacy and vectorized walks (identical float fold either way)."""
+    dict and array walks (identical float fold either way)."""
     probs: Dict[Tuple[Any, ...], float] = {}
     for scenario, p_scenario, key in scenario_rows:
         for transcript, p_transcript in transcripts_by_key[key].items():

@@ -14,10 +14,6 @@ Usage::
     python -m repro.experiments E1 --telemetry t.jsonl # sweep snapshots
     python -m repro.experiments E1 --profile p.jsonl   # sampling profiler
 
-    # Kernel selection (see docs/performance.md): bit-identical engines
-    python -m repro.experiments E1 --kernel legacy     # pure-Python loops
-    python -m repro.experiments E2 --kernel vectorized # numpy kernels
-
     # Networked execution (see docs/networking.md).  --quick keeps the
     # sweep on the classic grid — the extended default's big points cost
     # tens of minutes when every message is framed over the wire:
@@ -31,7 +27,10 @@ Usage::
     python -m repro.experiments E1 --no-store             # force cold
 
 Each experiment prints its rendered table (the same table the benchmark
-harness writes to ``benchmarks/results/``).  With ``--trace`` every
+harness writes to ``benchmarks/results/``).  Exact computations pick
+their engine from the input itself — numpy kernels above a support or
+size threshold, scalar loops below it — so there is no engine flag (see
+docs/performance.md).  With ``--trace`` every
 instrumented subsystem (runner, exact analyzer, samplers, Monte-Carlo)
 streams structured events to the given JSONL file; with ``--metrics``
 the process-wide registry is enabled and a counters/timing table is
@@ -147,16 +146,6 @@ def main(argv=None) -> int:
              "runtime (tables are byte-identical across backends)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("legacy", "vectorized"),
-        default=None,
-        help="exact-computation engine for experiments that support it: "
-             "'vectorized' (the default when numpy is installed) runs "
-             "the numpy-backed kernels in repro.perf.kernels, 'legacy' "
-             "forces the pure-Python loops; results are bit-identical "
-             "(see docs/performance.md)",
-    )
-    parser.add_argument(
         "--quick",
         action="store_true",
         help="for experiments that support it, sweep the classic "
@@ -260,10 +249,6 @@ def main(argv=None) -> int:
                     kwargs["fabric"] = args.fabric
                     if args.fabric_transport is not None:
                         kwargs["fabric_transport"] = args.fabric_transport
-                if args.kernel is not None and _supports_kwarg(
-                    runner, "kernel"
-                ):
-                    kwargs["kernel"] = args.kernel
                 if args.quick and _supports_kwarg(runner, "quick"):
                     kwargs["quick"] = True
                 started = time.monotonic()

@@ -17,13 +17,11 @@ protocols in the class.  The table shows:
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
-from ..perf import kernels
 from ..lowerbounds.optimal_information import (
     minimum_zero_error_cic,
     minimum_zero_error_external_ic,
@@ -37,40 +35,32 @@ from .tables import ExperimentTable
 __all__ = ["run", "DEFAULT_KS"]
 
 #: k = 12 pushes the rectangle DP to 3^12 · 12 ≈ 6.4M mass cells, just
-#: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``;
-#: ``--kernel legacy`` certifies identical optima via the memoized
-#: recursion at a few times the cost.
+#: under the vectorized dense-DP kernel's ``_E14_CELL_CAP``; past the
+#: cap the memoized recursion certifies identical optima at a few times
+#: the cost.
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 10, 12)
 
 
-def _measure_grid_point(
-    k: int, *, kernel: Optional[str] = None
-) -> Tuple[float, float]:
+def _measure_grid_point(k: int) -> Tuple[float, float]:
     """One E14 grid task: the certified optimum and the sequential
     protocol's CIC at ``k``.  Pure, so the sweep parallelizes (and
-    caches) without changing any value.  ``kernel`` is applied inside
-    the task body so worker processes honor the sweep's ``--kernel``
-    selection."""
-    with kernels.using_kernel(kernel):
-        optimum = minimum_zero_error_cic(k)
-        sequential = conditional_information_cost(
-            SequentialAndProtocol(k), and_hard_distribution(k)
-        )
+    caches) without changing any value."""
+    optimum = minimum_zero_error_cic(k)
+    sequential = conditional_information_cost(
+        SequentialAndProtocol(k), and_hard_distribution(k)
+    )
     return optimum, sequential
 
 
-def _measure_external(
-    k: int, *, kernel: Optional[str] = None
-) -> Tuple[float, float]:
+def _measure_external(k: int) -> Tuple[float, float]:
     """The external-IC contrast cell: certified AND vs XOR optima under
     uniform inputs at ``k``."""
-    with kernels.using_kernel(kernel):
-        and_external = minimum_zero_error_external_ic(
-            k, lambda x: int(all(x)), [0.5] * k
-        )
-        xor_external = minimum_zero_error_external_ic(
-            k, lambda x: sum(x) % 2, [0.5] * k
-        )
+    and_external = minimum_zero_error_external_ic(
+        k, lambda x: int(all(x)), [0.5] * k
+    )
+    xor_external = minimum_zero_error_external_ic(
+        k, lambda x: sum(x) % 2, [0.5] * k
+    )
     return and_external, xor_external
 
 
@@ -79,26 +69,16 @@ def run(
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    kernel: Optional[str] = None,
     fabric: Optional[int] = None,
     fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E14 sweep.
-
-    ``kernel`` (``--kernel`` on the CLI) selects the exact-computation
-    engine (``"vectorized"``/``"legacy"``); the certified optima are
-    bit-identical either way, so the kernel does not participate in the
-    store cell address.
 
     ``fabric`` (``--fabric N`` on the CLI) shards the main grid across
     ``N`` fabric workers (requires ``store``; see docs/fabric.md); the
     single external-IC contrast cell stays serial either way.  The table
     is byte-identical to the serial path.
     """
-    if kernel is not None and kernel not in kernels.KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-        )
     table = ExperimentTable(
         experiment_id="E14",
         title="Certified minimum information cost of AND_k "
@@ -128,7 +108,7 @@ def run(
         )
     else:
         measurements = checkpointed_map_grid(
-            functools.partial(_measure_grid_point, kernel=kernel),
+            _measure_grid_point,
             list(ks),
             store=store,
             experiment="E14",
@@ -152,7 +132,7 @@ def run(
     )
     k = max(ks)
     ((and_external, xor_external),) = checkpointed_map_grid(
-        functools.partial(_measure_external, kernel=kernel),
+        _measure_external,
         [k],
         store=store,
         experiment="E14-external",

@@ -52,8 +52,8 @@ E1_TRANSPORTS: Tuple[str, ...] = ("memory",) + TRANSPORTS
 
 #: The original (n, k) grid, covering both regimes (n >= k^2 batch
 #: phase and the endgame-only regime) at sizes every backend — the
-#: message-level runner, both networked transports, ``--kernel legacy``
-#: — completes in seconds (``--quick`` on the CLI).
+#: bigint simulators and both networked transports — completes in
+#: seconds (``--quick`` on the CLI).
 CLASSIC_GRID: Sequence[Tuple[int, int]] = (
     (64, 4),
     (256, 4),
@@ -69,10 +69,8 @@ CLASSIC_GRID: Sequence[Tuple[int, int]] = (
 
 #: The default grid extends CLASSIC_GRID an order of magnitude.  The
 #: points beyond (2048, 64) are reachable in seconds only because the
-#: vectorized kernel replays the protocols with the exact bigint
-#: simulators; ``--kernel legacy`` still completes the whole grid in
-#: minutes (the message-level runner materializes every combinadic
-#: rank), and networked transports should prefer ``--quick`` — framing
+#: in-memory backend replays the protocols with the exact bigint
+#: simulators; networked transports should prefer ``--quick`` — framing
 #: every message of the big points costs tens of minutes.
 DEFAULT_GRID: Sequence[Tuple[int, int]] = tuple(CLASSIC_GRID) + (
     (8192, 16),
@@ -114,13 +112,12 @@ def measure_point(
     chaos plan: drops, delays, corruption, and a crash-restart, all of
     which the runtime absorbs without changing a single counted bit.
 
-    When the vectorized kernel is active (the default with numpy
-    installed) and the in-memory backend is selected with no fault
-    injection, the three protocols are replayed by the exact bigint
-    simulators in :mod:`repro.perf.kernels` instead of the message-level
-    runner — bit counts and outputs are pinned identical to
-    :func:`run_protocol` by tests/experiments/, which is what lets the
-    default grid reach the ``n`` in the tens of thousands.
+    On the in-memory backend with no ``fault_seed`` the three
+    protocols are replayed by the exact bigint simulators in
+    :mod:`repro.perf.kernels` instead of the message-level runner — bit
+    counts and outputs are pinned identical to :func:`run_protocol` by
+    tests/perf/test_kernels.py, which is what lets the default grid
+    reach the ``n`` in the tens of thousands.
     """
     if transport not in E1_TRANSPORTS:
         raise ValueError(
@@ -130,11 +127,7 @@ def measure_point(
     inputs = partition_instance(n, k)
     task = disjointness_task(n, k)
     expected = task.evaluate(inputs)
-    if (
-        transport == "memory"
-        and fault_seed is None
-        and kernels.use_vectorized()
-    ):
+    if transport == "memory" and fault_seed is None:
         results = []
         for name, simulate in (
             ("OptimalDisjointnessProtocol",
@@ -171,7 +164,6 @@ def _measure_grid_point(
     check_random_instances: bool,
     transport: str = "memory",
     fault_seed: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> Tuple[int, int, int]:
     """One E1 grid task: worst-case bits at ``(n, k)`` plus an optional
     random-instance correctness check.
@@ -179,42 +171,24 @@ def _measure_grid_point(
     Pure in ``(point, seed)`` — the random check instances are drawn from
     a per-task RNG seeded by :func:`repro.perf.derive_seed`, never from a
     sweep-wide RNG, so the sweep is parallelizable without changing any
-    result.  ``kernel`` is applied *inside* the task body so worker
-    processes honor the sweep's ``--kernel`` selection regardless of the
-    multiprocessing start method.
+    result.
     """
     n, k = point
-    with kernels.using_kernel(kernel):
-        bits = measure_point(
-            n, k, transport=transport, fault_seed=fault_seed
+    bits = measure_point(n, k, transport=transport, fault_seed=fault_seed)
+    if check_random_instances:
+        rng = random.Random(seed)
+        task = disjointness_task(n, k)
+        inputs = random_instance(n, k, rng)
+        checks = (
+            ("OptimalDisjointnessProtocol",
+             kernels.simulate_optimal_disjointness),
+            ("NaiveDisjointnessProtocol",
+             kernels.simulate_naive_disjointness),
         )
-        if check_random_instances:
-            rng = random.Random(seed)
-            task = disjointness_task(n, k)
-            inputs = random_instance(n, k, rng)
-            if kernels.use_vectorized():
-                checks = (
-                    ("OptimalDisjointnessProtocol",
-                     kernels.simulate_optimal_disjointness),
-                    ("NaiveDisjointnessProtocol",
-                     kernels.simulate_naive_disjointness),
-                )
-                for name, simulate in checks:
-                    _bits, output = simulate(n, k, inputs)
-                    if output != task.evaluate(inputs):
-                        raise AssertionError(
-                            f"{name} wrong on random instance"
-                        )
-            else:
-                for protocol_cls in (
-                    OptimalDisjointnessProtocol, NaiveDisjointnessProtocol,
-                ):
-                    outcome = run_protocol(protocol_cls(n, k), inputs)
-                    if outcome.output != task.evaluate(inputs):
-                        raise AssertionError(
-                            f"{protocol_cls.__name__} wrong on random "
-                            "instance"
-                        )
+        for name, simulate in checks:
+            _bits, output = simulate(n, k, inputs)
+            if output != task.evaluate(inputs):
+                raise AssertionError(f"{name} wrong on random instance")
     return bits
 
 
@@ -227,7 +201,6 @@ def run(
     transport: str = "memory",
     store: Optional[ResultStore] = None,
     fault_seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     quick: bool = False,
     fabric: Optional[int] = None,
     fabric_transport: str = "tcp",
@@ -262,27 +235,16 @@ def run(
     backend (``"memory"``, ``"loopback"``, or ``"tcp"``); because the
     networked runtime is bit-identical to the in-memory runner, the
     rendered table does not depend on the choice.  Random-instance
-    correctness checks always use the in-memory runner.
+    correctness checks always use the bigint simulators.
 
     ``store`` serves already-computed grid cells from the result store
     and checkpoints fresh ones into it (``--store DIR`` on the CLI); the
     measured bits are pure functions of ``(n, k)``, so neither the
     transport nor the random-instance checks participate in the cell
     address and the cached table is byte-identical to a cold run.
-
-    ``kernel`` (``--kernel`` on the CLI) selects the exact-computation
-    engine: ``"vectorized"`` (the default with numpy installed) replays
-    the protocols through the :mod:`repro.perf.kernels` simulators,
-    ``"legacy"`` forces the message-level runner.  Measured bits are
-    bit-identical either way, so the kernel does not participate in the
-    store cell address.
     """
     if quick and grid is DEFAULT_GRID:
         grid = CLASSIC_GRID
-    if kernel is not None and kernel not in kernels.KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-        )
     if transport not in E1_TRANSPORTS:
         raise ValueError(
             f"unknown transport {transport!r}; expected one of "
@@ -322,7 +284,6 @@ def run(
                 check_random_instances=check_random_instances,
                 transport=transport,
                 fault_seed=fault_seed,
-                kernel=kernel,
             ),
             list(grid),
             store=store,

@@ -26,13 +26,11 @@ growth is conservative.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Optional, Sequence, Tuple
 
 from ..core.analysis import conditional_information_cost
 from ..lowerbounds.hard_distribution import and_hard_distribution
-from ..perf import kernels
 from ..store.keys import code_version
 from ..store.store import ResultStore
 from ..store.sweep import checkpointed_map_grid
@@ -46,9 +44,8 @@ __all__ = ["run", "DEFAULT_KS", "sequential_and_cic"]
 
 #: The tail (48, 64) roughly octuples the truncated-support enumeration
 #: of the old k = 32 ceiling (C(k,<=3) inputs each walked through ~k
-#: protocol levels); both kernels complete it with bit-identical CIC
-#: values — the per-node protocol callbacks dominate at this shape — so
-#: the tail costs tens of seconds either way.
+#: protocol levels); the per-node protocol callbacks dominate at this
+#: shape, so the tail costs tens of seconds.
 DEFAULT_KS: Sequence[int] = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 #: Exact enumeration of the full 2^(k-1) k support is kept below this k;
@@ -64,21 +61,14 @@ def sequential_and_cic(k: int, *, max_zeros: Optional[int] = None) -> float:
     return conditional_information_cost(SequentialAndProtocol(k), mu)
 
 
-def _measure_grid_point(
-    k: int, *, kernel: Optional[str] = None
-) -> Tuple[float, float, bool]:
+def _measure_grid_point(k: int) -> Tuple[float, float, bool]:
     """One E2 grid task: exact CIC of both witness protocols at ``k``.
-    Pure, so the sweep parallelizes without changing any value.
-    ``kernel`` is applied inside the task body so worker processes honor
-    the sweep's ``--kernel`` selection."""
+    Pure, so the sweep parallelizes without changing any value."""
     truncated = k > _FULL_SUPPORT_LIMIT
     max_zeros = 3 if truncated else None
-    with kernels.using_kernel(kernel):
-        mu = and_hard_distribution(k, max_zeros=max_zeros)
-        cic_seq = conditional_information_cost(SequentialAndProtocol(k), mu)
-        cic_full = conditional_information_cost(
-            FullBroadcastAndProtocol(k), mu
-        )
+    mu = and_hard_distribution(k, max_zeros=max_zeros)
+    cic_seq = conditional_information_cost(SequentialAndProtocol(k), mu)
+    cic_full = conditional_information_cost(FullBroadcastAndProtocol(k), mu)
     return cic_seq, cic_full, truncated
 
 
@@ -87,26 +77,16 @@ def run(
     *,
     workers: Optional[int] = None,
     store: Optional[ResultStore] = None,
-    kernel: Optional[str] = None,
     fabric: Optional[int] = None,
     fabric_transport: str = "tcp",
 ) -> ExperimentTable:
     """Run the E2 sweep.
-
-    ``kernel`` (``--kernel`` on the CLI) selects the exact-computation
-    engine (``"vectorized"``/``"legacy"``); the computed CIC values are
-    bit-identical either way, so the kernel does not participate in the
-    store cell address.
 
     ``fabric`` (``--fabric N`` on the CLI) shards the grid across ``N``
     fabric workers instead of a local process pool (requires ``store``;
     see docs/fabric.md); the cell addresses and payloads are identical,
     so the table is byte-identical to the serial path.
     """
-    if kernel is not None and kernel not in kernels.KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-        )
     table = ExperimentTable(
         experiment_id="E2",
         title="Conditional information cost of AND_k under the hard "
@@ -135,7 +115,7 @@ def run(
         )
     else:
         measurements = checkpointed_map_grid(
-            functools.partial(_measure_grid_point, kernel=kernel),
+            _measure_grid_point,
             list(ks),
             store=store,
             experiment="E2",

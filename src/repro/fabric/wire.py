@@ -139,7 +139,10 @@ def _parse_body(body: bytes) -> FabricFrame:
     offset += header_len
     try:
         fields = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integer
+        # literals; RecursionError a CRC-valid header nested past the
+        # parser's stack.
         raise FrameCorrupted(f"fabric frame header is not JSON: {exc}")
     if not isinstance(fields, dict):
         raise FrameCorrupted("fabric frame header is not a JSON object")

@@ -136,15 +136,15 @@ def analyze_good_transcripts(
     # factors tabulate as a (k, 2) array and each class-conditioned
     # probability is one product-reduction over the class matrix —
     # bit-identical to the per-input scalar fold (same multiplication
-    # and summation order).
+    # and summation order).  Other input alphabets take the scalar fold.
     from ..perf import kernels
 
-    np_ = None
     x2_matrix = x3_matrix = None
-    if kernels.use_vectorized() and zero == 0 and one == 1:
-        np_ = kernels.require_numpy()
-        x2_matrix = np_.array(two_zero_inputs, dtype=np_.int64)
-        x3_matrix = np_.array(three_zero_inputs, dtype=np_.int64)
+    if zero == 0 and one == 1:
+        import numpy as np
+
+        x2_matrix = np.array(two_zero_inputs, dtype=np.int64)
+        x3_matrix = np.array(three_zero_inputs, dtype=np.int64)
 
     classifications: List[TranscriptClassification] = []
     mass_L = mass_B0 = mass_B1 = mass_L_prime = 0.0
@@ -154,8 +154,8 @@ def analyze_good_transcripts(
         if x2_matrix is not None:
             try:
                 factor_table = [
-                    np_.array(
-                        [factor[zero], factor[one]], dtype=np_.float64
+                    np.array(
+                        [factor[zero], factor[one]], dtype=np.float64
                     )
                     for factor in factors.factors
                 ]

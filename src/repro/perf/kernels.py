@@ -26,20 +26,26 @@ handled explicitly everywhere:
   Group-bys reconstruct it from ``np.unique(..., return_index=...)``
   plus a stable argsort of the first-occurrence indices.
 
-Kernel switch
--------------
-:func:`get_kernel` resolves the active kernel: an explicit
-:func:`set_kernel` choice wins, otherwise ``"vectorized"`` when numpy is
-importable and ``"legacy"`` when it is not.  Call sites gate their fast
-path on :func:`use_vectorized` and always keep the legacy loop as the
-fallback — the fallback is also the reference the differential oracle
-(``repro.check.oracles`` ``vectorized-vs-legacy``) replays.
+Engine selection
+----------------
+There is no user-set switch: each call site picks its engine from the
+input, and the scalar loop it falls back to is both the small-input
+engine and the reference the bit-identity tests and the differential
+oracle (``repro.check.oracles`` ``vectorized-vs-legacy``) call
+directly.
 
-numpy is a declared dependency (``pyproject.toml``: ``numpy>=1.21``)
-but is imported lazily through this module only, so ``repro`` still
-imports — and every analyzer still runs, via the legacy paths — on an
-interpreter without it.  Requesting the vectorized kernel explicitly
-without numpy raises the one clear error from :func:`require_numpy`.
+* Entropy, KL divergence, mutual information, conditional mutual
+  information and the Lemma 2 fold vectorize once the support reaches
+  :data:`_VECTOR_MIN_SUPPORT` outcomes.
+* The E14 rectangle DP runs dense while ``3**k * z_count`` stays within
+  :data:`_E14_CELL_CAP`.
+* The batched tree walk runs here whenever the input coordinates can be
+  dense-coded (are hashable); otherwise ``repro.core.tree`` falls back
+  to its dict-driven walk.
+
+numpy is a declared dependency (``pyproject.toml``: ``numpy>=1.21``).
+It is imported inside the kernels rather than at module load, so
+importing ``repro`` does not pay for it.
 
 Observability: each kernel invocation increments the
 ``kernel_vectorized_calls`` counter (labeled ``op=...``) when metrics
@@ -49,20 +55,12 @@ collection is enabled.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..information.entropy import binary_entropy
 from ..obs.metrics import REGISTRY
 
 __all__ = [
-    "numpy_available",
-    "require_numpy",
-    "get_kernel",
-    "set_kernel",
-    "using_kernel",
-    "use_vectorized",
-    "KERNELS",
     "ordered_sum",
     "tree_walk_sorted_leaves",
     "entropy_fast",
@@ -78,16 +76,15 @@ __all__ = [
     "simulate_optimal_disjointness",
 ]
 
-#: The recognized kernel names (the ``--kernel`` CLI vocabulary).
-KERNELS = ("legacy", "vectorized")
-
-#: Joint laws with fewer outcomes than this run the legacy loops — array
+#: Joint laws with fewer outcomes than this run the scalar loops — array
 #: setup costs more than it saves on tiny supports.  Tests monkeypatch
-#: this to 0 to force the fast paths onto small fixtures.
+#: this to 0 (or past any support) to force either engine.
 _VECTOR_MIN_SUPPORT = 64
 
 #: Ceiling on ``3**k * z_count`` for the vectorized E14 rectangle DP
-#: (the dense mass table is one float64 per (z, rectangle) cell).
+#: (the dense mass table is one float64 per (z, rectangle) cell); past
+#: it the memoized recursion runs.  Tests monkeypatch it to 0 to force
+#: the recursion.
 _E14_CELL_CAP = 8_000_000
 
 #: Mixed-radix lineage codes in the tree walk spill into a frozen column
@@ -95,97 +92,6 @@ _E14_CELL_CAP = 8_000_000
 #: signed, so 62 leaves headroom for the final multiply).  Tests
 #: monkeypatch this down to force the spill path on small protocols.
 _LINEAGE_BITS = 62
-
-_NUMPY_UNRESOLVED = object()
-_numpy: Any = _NUMPY_UNRESOLVED
-
-_KERNEL: Optional[str] = None
-
-
-# ----------------------------------------------------------------------
-# numpy guard
-# ----------------------------------------------------------------------
-def _resolve_numpy() -> Any:
-    global _numpy
-    if _numpy is _NUMPY_UNRESOLVED:
-        try:
-            import numpy  # noqa: PLC0415 - the one lazy import site
-
-            _numpy = numpy
-        except ImportError:
-            _numpy = None
-    return _numpy
-
-
-def numpy_available() -> bool:
-    """Whether numpy can be imported (checked once, cached)."""
-    return _resolve_numpy() is not None
-
-
-def require_numpy() -> Any:
-    """Return the numpy module, or raise the one canonical error.
-
-    numpy is a declared dependency (``pyproject.toml`` lists
-    ``numpy>=1.21``) but the legacy kernels run without it; only an
-    explicit request for the vectorized kernel hits this guard.
-    """
-    np_ = _resolve_numpy()
-    if np_ is None:
-        raise ImportError(
-            "the 'vectorized' kernel requires numpy, which could not be "
-            "imported; install the declared dependency (pyproject.toml: "
-            "numpy>=1.21) or select the 'legacy' kernel"
-        )
-    return np_
-
-
-# ----------------------------------------------------------------------
-# Kernel switch
-# ----------------------------------------------------------------------
-def get_kernel() -> str:
-    """The active kernel name: an explicit :func:`set_kernel` choice, or
-    ``"vectorized"`` when numpy is available and ``"legacy"`` otherwise."""
-    if _KERNEL is not None:
-        return _KERNEL
-    return "vectorized" if numpy_available() else "legacy"
-
-
-def set_kernel(name: Optional[str]) -> None:
-    """Select the kernel process-wide.
-
-    ``None`` restores automatic resolution.  Selecting ``"vectorized"``
-    validates that numpy is importable (:func:`require_numpy`) so a bad
-    environment fails at selection time, not mid-sweep.
-    """
-    global _KERNEL
-    if name is not None and name not in KERNELS:
-        raise ValueError(
-            f"unknown kernel {name!r}; expected one of {KERNELS} or None"
-        )
-    if name == "vectorized":
-        require_numpy()
-    _KERNEL = name
-
-
-@contextmanager
-def using_kernel(name: Optional[str]):
-    """Context manager form of :func:`set_kernel`; ``None`` is a no-op
-    (keeps whatever is active), any name is restored on exit."""
-    global _KERNEL
-    if name is None:
-        yield
-        return
-    previous = _KERNEL
-    set_kernel(name)
-    try:
-        yield
-    finally:
-        _KERNEL = previous
-
-
-def use_vectorized() -> bool:
-    """True when call sites should take their vectorized fast path."""
-    return get_kernel() == "vectorized" and numpy_available()
 
 
 def _count_call(op: str) -> None:
@@ -297,7 +203,8 @@ def tree_walk_sorted_leaves(
     # never imports repro.perf).
     from ..core.model import Message, ProtocolViolation, Transcript
 
-    np_ = require_numpy()
+    import numpy as np_
+
     _count_call("tree_walk")
 
     m = len(input_keys)
@@ -649,9 +556,10 @@ def entropy_fast(probs: Dict[Any, float]) -> Optional[float]:
     """Vectorized Shannon entropy of a support dict, or ``None`` when the
     fast path should not engage.  Bit-identical to
     ``-sum(p * math.log2(p) for p in values)`` in dict order."""
-    if not use_vectorized() or len(probs) < _VECTOR_MIN_SUPPORT:
+    if len(probs) < _VECTOR_MIN_SUPPORT:
         return None
-    np_ = require_numpy()
+    import numpy as np_
+
     _count_call("entropy")
     values = np_.fromiter(probs.values(), dtype=np_.float64, count=len(probs))
     terms = values * _exact_log2(np_, values)
@@ -665,9 +573,10 @@ def kl_divergence_fast(posterior: Any, prior: Any) -> Optional[float]:
     insertion order, return ``inf`` on any prior-zero outcome, clamp the
     ordered total at 0.
     """
-    if not use_vectorized() or len(posterior) < _VECTOR_MIN_SUPPORT:
+    if len(posterior) < _VECTOR_MIN_SUPPORT:
         return None
-    np_ = require_numpy()
+    import numpy as np_
+
     _count_call("kl_divergence")
     count = len(posterior)
     ps = np_.empty(count, dtype=np_.float64)
@@ -715,14 +624,13 @@ def _mi_from_arrays(np_: Any, p: Any, a_codes: Any, b_codes: Any) -> float:
 def mutual_information_fast(joint: Any, a: Any, b: Any) -> Optional[float]:
     """Vectorized :func:`repro.information.entropy.mutual_information`
     for single-component ``a``/``b``, or ``None`` to fall back."""
-    if not use_vectorized():
-        return None
     if not isinstance(a, (str, int)) or not isinstance(b, (str, int)):
         return None
     items = list(joint.items())
     if len(items) < _VECTOR_MIN_SUPPORT:
         return None
-    np_ = require_numpy()
+    import numpy as np_
+
     a_index = joint._resolve(a)  # noqa: SLF001 - same internal the legacy path uses
     b_index = joint._resolve(b)  # noqa: SLF001
     _count_call("mutual_information")
@@ -748,8 +656,6 @@ def conditional_mutual_information_fast(
     drift removal — including the constructor's mass-tolerance check),
     and the per-``z`` ``p * max(MI, 0)`` accumulation order.
     """
-    if not use_vectorized():
-        return None
     if (
         not isinstance(a, (str, int))
         or not isinstance(b, (str, int))
@@ -759,7 +665,8 @@ def conditional_mutual_information_fast(
     items = list(joint.items())
     if len(items) < _VECTOR_MIN_SUPPORT:
         return None
-    np_ = require_numpy()
+    import numpy as np_
+
     a_index = joint._resolve(a)  # noqa: SLF001
     b_index = joint._resolve(b)  # noqa: SLF001
     g_index = joint._resolve(given)  # noqa: SLF001
@@ -810,7 +717,8 @@ def class_conditioned_probabilities(
     per input the factors multiply in ascending player order from 1.0,
     and the class sum folds left-to-right.
     """
-    np_ = require_numpy()
+    import numpy as np_
+
     _count_call("lemma3_class_probability")
     m, k = class_matrix.shape
     product = np_.ones(m, dtype=np_.float64)
@@ -832,12 +740,11 @@ def per_player_divergence_sum_fast(
     every inner sum a one- or two-term IEEE addition, which is
     commutative bit-for-bit, so no per-pair ordering state is needed.
     """
-    if not use_vectorized():
-        return None
     items = list(joint.items())
     if len(items) < _VECTOR_MIN_SUPPORT:
         return None
-    np_ = require_numpy()
+    import numpy as np_
+
     try:
         bits = np_.array(
             [outcome[x_index] for outcome, _p in items], dtype=np_.int64
@@ -913,11 +820,7 @@ def per_player_divergence_sum_fast(
 # ----------------------------------------------------------------------
 def minimum_entropy_supported(k: int, z_count: int) -> bool:
     """Whether the vectorized rectangle DP may run for this instance."""
-    return (
-        use_vectorized()
-        and k >= 1
-        and (3 ** k) * z_count <= _E14_CELL_CAP
-    )
+    return k >= 1 and (3 ** k) * z_count <= _E14_CELL_CAP
 
 
 def minimum_entropy(
@@ -935,7 +838,8 @@ def minimum_entropy(
     ``(split + left) + right``, and the minimum scans split coordinates
     ascending with a strict ``<``.
     """
-    np_ = require_numpy()
+    import numpy as np_
+
     _count_call("minimum_entropy_dp")
     z_count = len(conditional_masses)
     n = 3 ** k

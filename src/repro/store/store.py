@@ -179,7 +179,8 @@ def decode_entry(blob: bytes) -> Tuple[ResultKey, bytes]:
             version=key_dict["version"],
         )
         payload_bytes = header["payload_bytes"]
-    except (ValueError, KeyError, TypeError) as error:
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
+        # RecursionError: a CRC-valid header nested past the parser's stack.
         raise StoreCorruptedError(f"unparseable entry header: {error}") from None
     payload = body[header_end:]
     if len(payload) != payload_bytes:

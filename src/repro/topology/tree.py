@@ -35,7 +35,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.model import ProtocolViolation
-from ..core.tree import DEFAULT_MAX_MESSAGES, MessageDistributionMemo
+from ..core.tree import (
+    DEFAULT_MAX_MESSAGES,
+    MessageDistributionMemo,
+    _flush_memo_counters,
+)
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
@@ -49,19 +53,6 @@ __all__ = [
 
 #: Probabilities below this threshold are treated as unreachable branches.
 _PRUNE_BELOW = 0.0
-
-
-def _flush_memo_counters(
-    reg, memo: Optional[MessageDistributionMemo], before: Tuple[int, int], name: str
-) -> None:
-    if reg is None or memo is None:
-        return
-    hits = memo.hits - before[0]
-    misses = memo.misses - before[1]
-    if hits:
-        reg.counter("tree_memo_hits").inc(hits, protocol=name)
-    if misses:
-        reg.counter("tree_memo_misses").inc(misses, protocol=name)
 
 
 def medium_transcript_distribution(

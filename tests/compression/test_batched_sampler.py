@@ -20,9 +20,6 @@ from repro.compression.sampling import (
 )
 from repro.information import DiscreteDistribution
 from repro.obs import REGISTRY, disable_metrics, enable_metrics
-from repro.perf import kernels
-
-pytest.importorskip("numpy")
 
 
 def make_cell(index, size):
@@ -132,11 +129,6 @@ class TestValidation:
         eta = DiscreteDistribution({0: 1.0})
         with pytest.raises(ValueError, match="universe"):
             BatchedDartSampler([(eta, eta, [])])
-
-    def test_missing_numpy_fails_at_construction(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy", None)
-        with pytest.raises(ImportError, match="'legacy' kernel"):
-            BatchedDartSampler([make_cell(0, 8)])
 
 
 class TestTelemetry:

@@ -1,6 +1,10 @@
 """Fabric wire format: roundtrips, typed corruption, version tolerance."""
 
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.coding.integrity import seal
 from repro.fabric.wire import (
@@ -98,6 +102,81 @@ class TestTypedFailures:
         wire = len(sealed).to_bytes(_LEN, "big") + sealed
         with pytest.raises(FrameCorrupted):
             decode_fabric_frame(wire)
+
+
+#: JSON-ish header bodies: arbitrary bytes, deep ``[``/``{`` nesting (up
+#: to a 200 000-byte header, far below MAX_FRAME_BYTES), token soup, and
+#: well-formed JSON of any shape.
+_HEADERS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda opener, depth, tail: opener * depth + tail,
+        st.sampled_from([b"[", b'{"a":', b"[{"]),
+        st.integers(0, 200_000),
+        st.binary(max_size=8),
+    ),
+    st.lists(
+        st.sampled_from([b"[", b"]", b"{", b"}", b",", b":", b'"a"', b"1",
+                         b"null", b"1" * 5000]),
+        max_size=24,
+    ).map(b"".join),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=16,
+    ).map(lambda value: json.dumps(value).encode("utf-8")),
+)
+
+#: A length field: ``None`` writes the true length, an int overrides it.
+_LENGTHS = st.none() | st.integers(0, 2**32 - 1)
+
+
+def _field(value, true_length):
+    return (true_length if value is None else value).to_bytes(_LEN, "big")
+
+
+class TestArbitrarySealedBodies:
+    """A body that passes its CRC seal can still be anything; decoding it
+    must return a frame or raise FrameCorrupted, never an untyped
+    error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.integers(0, 255),
+        header=_HEADERS,
+        header_len=_LENGTHS,
+        payload=st.binary(max_size=32),
+        payload_len=_LENGTHS,
+        tail=st.binary(max_size=8),
+    )
+    @example(  # nests deeper than the JSON parser's recursion limit
+        kind=int(FabricFrameKind.GET), header=b"[" * 200_000,
+        header_len=None, payload=b"", payload_len=None, tail=b"",
+    )
+    def test_structured_body(self, kind, header, header_len, payload,
+                             payload_len, tail):
+        body = (
+            bytes([kind]) + _field(header_len, len(header)) + header
+            + _field(payload_len, len(payload)) + payload + tail
+        )
+        self._decode_sealed(body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.binary(max_size=96))
+    def test_raw_body(self, body):
+        self._decode_sealed(body)
+
+    @staticmethod
+    def _decode_sealed(body):
+        sealed = seal(body)
+        wire = len(sealed).to_bytes(_LEN, "big") + sealed
+        try:
+            frame, consumed = decode_fabric_frame(wire)
+        except FrameCorrupted:
+            return
+        assert consumed == len(wire)
+        assert isinstance(frame.fields, dict)
 
 
 class TestVersionTolerance:

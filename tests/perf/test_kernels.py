@@ -1,17 +1,19 @@
 """repro.perf.kernels: the vectorized exact engine's contract.
 
-Two things are pinned here.  First, the switch semantics: kernel
-selection is explicit, validated, scoped, and fails fast when numpy is
-missing.  Second — the property everything else rests on — *bit
-identity*: every quantity the vectorized kernel computes (tree walks,
-entropies, divergences, mutual informations, the Lemma 3 class
-probabilities, the Lemma 2 divergence sum, the E14 rectangle DP, the E1
-protocol simulators) must equal the legacy implementation exactly, float
-for float, outcome order included, on every workload the legacy path
-completes.
+There is no engine switch: every call site picks its engine from the
+input (support size, the E14 cell count, dense-codable tree-walk
+inputs).  What is pinned here is *bit identity*: every quantity the
+vectorized kernels compute (tree walks, entropies, divergences, mutual
+informations, the Lemma 3 class probabilities, the Lemma 2 divergence
+sum, the E14 rectangle DP, the E1 protocol simulators) must equal the
+scalar implementation exactly, float for float, outcome order included.
+Each side is forced through the input thresholds by monkeypatching them
+here, or the scalar reference (the dict tree walk, the Lemma 3 scalar
+fold, the message-level runner) is called directly.
 """
 
 import itertools
+import math
 import random
 
 import pytest
@@ -23,8 +25,9 @@ from repro.core import (
     external_information_cost,
     internal_information_cost,
     run_protocol,
+    tree,
 )
-from repro.core.tasks import disjointness_task
+from repro.core.tasks import boolean_inputs_with_zero_count, disjointness_task
 from repro.experiments.e1_disjointness_scaling import measure_point
 from repro.experiments.workloads import partition_instance, random_instance
 from repro.information import DiscreteDistribution, JointDistribution
@@ -33,95 +36,66 @@ from repro.information.entropy import (
     conditional_mutual_information,
     mutual_information,
 )
+from repro.lowerbounds.decomposition import transcript_factors
 from repro.lowerbounds.hard_distribution import and_hard_distribution
 from repro.lowerbounds.optimal_information import (
     minimum_zero_error_cic,
     minimum_zero_error_external_ic,
 )
 from repro.lowerbounds.posterior import per_player_divergence_sum
-from repro.lowerbounds.transcripts import analyze_good_transcripts
+from repro.lowerbounds.transcripts import (
+    _class_conditioned_probability,
+    analyze_good_transcripts,
+)
 from repro.obs import REGISTRY, disable_metrics, enable_metrics
 from repro.perf import kernels
 from repro.protocols import (
     ALL_PROTOCOLS,
+    NaiveDisjointnessProtocol,
     NoisySequentialAndProtocol,
+    OptimalDisjointnessProtocol,
     SequentialAndProtocol,
+    TrivialDisjointnessProtocol,
     TwoPartyDisjointnessProtocol,
 )
 
-numpy_required = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy not installed"
-)
+
+def _no_dense_coding(*_args, **_kwargs):
+    """Stand-in for the array tree walk that rejects every population,
+    as unhashable input coordinates do, so ``core.tree`` takes its dict
+    walk."""
+    raise TypeError("population is not dense-codable")
 
 
-# ----------------------------------------------------------------------
-# Switch semantics.
-# ----------------------------------------------------------------------
-class TestKernelSwitch:
-    def teardown_method(self):
-        kernels.set_kernel(None)
+@pytest.fixture
+def both_engines(monkeypatch):
+    """``run(compute)`` evaluates ``compute()`` with every input threshold
+    forced to the scalar engine, then to the vectorized one, and returns
+    the pair.  The ``kernel_vectorized_calls`` counter proves each side
+    ran the engine it was forced onto."""
 
-    def test_default_resolution_tracks_numpy(self):
-        kernels.set_kernel(None)
-        expected = "vectorized" if kernels.numpy_available() else "legacy"
-        assert kernels.get_kernel() == expected
+    def counted(compute):
+        enable_metrics(reset=True)
+        try:
+            value = compute()
+            return value, REGISTRY.counter("kernel_vectorized_calls").total()
+        finally:
+            disable_metrics()
 
-    def test_explicit_legacy_wins(self):
-        kernels.set_kernel("legacy")
-        assert kernels.get_kernel() == "legacy"
-        assert not kernels.use_vectorized()
+    def run(compute):
+        with monkeypatch.context() as scalar:
+            scalar.setattr(kernels, "_VECTOR_MIN_SUPPORT", math.inf)
+            scalar.setattr(kernels, "_E14_CELL_CAP", 0)
+            scalar.setattr(kernels, "tree_walk_sorted_leaves", _no_dense_coding)
+            legacy, scalar_calls = counted(compute)
+        with monkeypatch.context() as vector:
+            vector.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
+            vectorized, vector_calls = counted(compute)
+        assert scalar_calls == 0
+        assert vector_calls > 0
+        return legacy, vectorized
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.set_kernel("simd")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            with kernels.using_kernel("simd"):
-                pass  # pragma: no cover - never entered
-
-    def test_using_kernel_restores_on_exit(self):
-        kernels.set_kernel("legacy")
-        with kernels.using_kernel("legacy"):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == "legacy"
-        kernels.set_kernel(None)
-        with kernels.using_kernel("legacy"):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == (
-            "vectorized" if kernels.numpy_available() else "legacy"
-        )
-
-    def test_using_kernel_restores_after_exception(self):
-        kernels.set_kernel(None)
-        with pytest.raises(RuntimeError):
-            with kernels.using_kernel("legacy"):
-                raise RuntimeError("boom")
-        assert kernels.get_kernel() != "legacy" or not (
-            kernels.numpy_available()
-        )
-
-    def test_none_is_a_no_op(self):
-        kernels.set_kernel("legacy")
-        with kernels.using_kernel(None):
-            assert kernels.get_kernel() == "legacy"
-        assert kernels.get_kernel() == "legacy"
-
-    def test_missing_numpy_fails_at_selection_time(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy", None)
-        assert not kernels.numpy_available()
-        assert kernels.get_kernel() == "legacy"
-        assert not kernels.use_vectorized()
-        with pytest.raises(ImportError, match="numpy>=1.21"):
-            kernels.require_numpy()
-        with pytest.raises(ImportError, match="'legacy' kernel"):
-            kernels.set_kernel("vectorized")
-
-    @numpy_required
-    def test_missing_numpy_disables_fast_paths(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_numpy", None)
-        monkeypatch.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
-        dist = DiscreteDistribution({"a": 0.25, "b": 0.75})
-        assert kernels.entropy_fast(dict(dist.items())) is None
-        assert not kernels.minimum_entropy_supported(3, 3)
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -131,13 +105,14 @@ def scenario_distribution(input_tuples):
     return DiscreteDistribution.uniform([(t,) for t in input_tuples])
 
 
-def both_kernels(compute):
-    """Evaluate ``compute()`` under each kernel, returning the pair."""
-    with kernels.using_kernel("legacy"):
-        legacy = compute()
-    with kernels.using_kernel("vectorized"):
-        vectorized = compute()
-    return legacy, vectorized
+def assert_walks_identical(protocol, input_keys):
+    """The array walk and the dict walk return the same leaf table (and
+    the same node, leaf and depth counts) on ``input_keys``."""
+    legacy = tree._legacy_walk_sorted_leaves(protocol, input_keys)
+    vectorized = kernels.tree_walk_sorted_leaves(
+        protocol, input_keys, max_messages=tree.DEFAULT_MAX_MESSAGES
+    )
+    assert vectorized == legacy
 
 
 def assert_joint_identical(legacy, vectorized):
@@ -145,39 +120,28 @@ def assert_joint_identical(legacy, vectorized):
     assert list(legacy.items()) == list(vectorized.items())
 
 
-@numpy_required
 class TestTreeWalkIdentity:
     @pytest.mark.parametrize(
         "case", ALL_PROTOCOLS, ids=[case.name for case in ALL_PROTOCOLS]
     )
     def test_registry_protocols(self, case):
-        protocol = case.build()
         inputs = case.input_tuples()
         if len(inputs) > 64:
             inputs = inputs[::3][:64]
-        scenarios = scenario_distribution(inputs)
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                protocol, scenarios, names=("inputs",)
-            )
-        )
-        assert_joint_identical(legacy, vectorized)
+        assert_walks_identical(case.build(), [tuple(x) for x in inputs])
 
     @pytest.mark.parametrize("index", range(25))
     def test_generated_protocols(self, index):
         case = generate_case(2026, index)
-        scenarios = case.input_dist.map(lambda x: (x,))
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
+        input_keys = list(
+            dict.fromkeys(tuple(x) for x, _p in case.input_dist.items())
         )
-        assert_joint_identical(legacy, vectorized)
+        assert_walks_identical(case.protocol, input_keys)
 
-    def test_weighted_aux_scenarios(self):
+    def test_weighted_aux_scenarios(self, both_engines):
         protocol = NoisySequentialAndProtocol(3, 0.125)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: batched_joint_transcript_distribution(
                 protocol, mu, names=("inputs", "aux")
             )
@@ -189,13 +153,10 @@ class TestTreeWalkIdentity:
         # columns almost immediately; the walk must still match legacy.
         monkeypatch.setattr(kernels, "_LINEAGE_BITS", 4)
         case = generate_case(2026, 3)
-        scenarios = case.input_dist.map(lambda x: (x,))
-        legacy, vectorized = both_kernels(
-            lambda: batched_joint_transcript_distribution(
-                case.protocol, scenarios, names=("inputs",)
-            )
+        input_keys = list(
+            dict.fromkeys(tuple(x) for x, _p in case.input_dist.items())
         )
-        assert_joint_identical(legacy, vectorized)
+        assert_walks_identical(case.protocol, input_keys)
 
 
 # ----------------------------------------------------------------------
@@ -210,24 +171,18 @@ def random_joint(seed, shape):
     return JointDistribution(probs, names=names, normalize=True)
 
 
-@numpy_required
 class TestInformationIdentity:
-    @pytest.fixture(autouse=True)
-    def force_fast_paths(self, monkeypatch):
-        # The fast paths only engage above _VECTOR_MIN_SUPPORT outcomes;
-        # drop the gate so small fixtures exercise them.
-        monkeypatch.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
-
     @pytest.mark.parametrize("seed", range(5))
-    def test_entropy(self, seed):
+    def test_entropy(self, seed, both_engines):
         rng = random.Random(seed)
         probs = {i: rng.random() + 1e-3 for i in range(40)}
-        dist = DiscreteDistribution(probs, normalize=True)
-        legacy, vectorized = both_kernels(dist.entropy)
+        legacy, vectorized = both_engines(
+            lambda: DiscreteDistribution(probs, normalize=True).entropy()
+        )
         assert legacy == vectorized
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_kl_divergence(self, seed):
+    def test_kl_divergence(self, seed, both_engines):
         rng = random.Random(seed)
         support = list(range(30))
         posterior = DiscreteDistribution(
@@ -236,56 +191,56 @@ class TestInformationIdentity:
         prior = DiscreteDistribution(
             {i: rng.random() + 1e-3 for i in support}, normalize=True
         )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: kl_divergence(posterior, prior)
         )
         assert legacy == vectorized
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_mutual_information(self, seed):
+    def test_mutual_information(self, seed, both_engines):
         joint = random_joint(seed, (4, 5))
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: mutual_information(joint, "a", "b")
         )
         assert legacy == vectorized
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_conditional_mutual_information(self, seed):
+    def test_conditional_mutual_information(self, seed, both_engines):
         joint = random_joint(seed, (3, 4, 3))
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: conditional_mutual_information(joint, "a", "b", "c")
         )
         assert legacy == vectorized
 
-    def test_information_costs(self):
+    def test_information_costs(self, both_engines):
         protocol = NoisySequentialAndProtocol(3, 0.25)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: conditional_information_cost(protocol, mu)
         )
         assert legacy == vectorized
         uniform = DiscreteDistribution.uniform(
             list(itertools.product((0, 1), repeat=3))
         )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: external_information_cost(protocol, uniform)
         )
         assert legacy == vectorized
 
-    def test_internal_information_cost(self):
+    def test_internal_information_cost(self, both_engines):
         protocol = TwoPartyDisjointnessProtocol(2)
         uniform = DiscreteDistribution.uniform(
             list(itertools.product(range(4), repeat=2))
         )
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: internal_information_cost(protocol, uniform)
         )
         assert legacy == vectorized
 
-    def test_per_player_divergence_sum(self):
+    def test_per_player_divergence_sum(self, both_engines):
         protocol = NoisySequentialAndProtocol(3, 0.125)
         mu = and_hard_distribution(3)
-        legacy, vectorized = both_kernels(
+        legacy, vectorized = both_engines(
             lambda: per_player_divergence_sum(
                 batched_joint_transcript_distribution(
                     protocol, mu, names=("inputs", "aux")
@@ -296,30 +251,39 @@ class TestInformationIdentity:
         assert legacy == vectorized
 
     def test_lemma3_transcript_classification(self):
-        legacy, vectorized = both_kernels(
-            lambda: analyze_good_transcripts(
-                NoisySequentialAndProtocol(3, 0.25)
+        # With 0/1 inputs every class probability takes the array path;
+        # the scalar fold it replaced is the reference.
+        k = 3
+        protocol = NoisySequentialAndProtocol(k, 0.25)
+        report = analyze_good_transcripts(protocol)
+        two_zero = list(boolean_inputs_with_zero_count(k, 2))
+        three_zero = list(boolean_inputs_with_zero_count(k, 3))
+        assert report.classifications
+        for classification in report.classifications:
+            factors = transcript_factors(
+                protocol, classification.transcript, [[0, 1]] * k
             )
-        )
-        assert legacy == vectorized
+            assert classification.pi2 == _class_conditioned_probability(
+                factors, two_zero
+            )
+            assert classification.pi3 == _class_conditioned_probability(
+                factors, three_zero
+            )
 
 
 # ----------------------------------------------------------------------
 # Bit-identity: the E14 rectangle DP.
 # ----------------------------------------------------------------------
-@numpy_required
 class TestRectangleDPIdentity:
     @pytest.mark.parametrize("k", (2, 3, 4, 5))
-    def test_minimum_zero_error_cic(self, k):
-        legacy, vectorized = both_kernels(
-            lambda: minimum_zero_error_cic(k)
-        )
+    def test_minimum_zero_error_cic(self, k, both_engines):
+        legacy, vectorized = both_engines(lambda: minimum_zero_error_cic(k))
         assert legacy == vectorized
 
     @pytest.mark.parametrize("k", (2, 3, 4))
-    def test_minimum_zero_error_external_ic(self, k):
+    def test_minimum_zero_error_external_ic(self, k, both_engines):
         for evaluate in (lambda x: int(all(x)), lambda x: sum(x) % 2):
-            legacy, vectorized = both_kernels(
+            legacy, vectorized = both_engines(
                 lambda: minimum_zero_error_external_ic(
                     k, evaluate, [0.5] * k
                 )
@@ -333,54 +297,39 @@ class TestRectangleDPIdentity:
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: the E1 bigint simulators.
+# Bit-identity: the E1 bigint simulators against the message runner.
 # ----------------------------------------------------------------------
-@numpy_required
 class TestDisjointnessSimulators:
-    SIMULATORS = (
-        ("optimal", kernels.simulate_optimal_disjointness),
-        ("naive", kernels.simulate_naive_disjointness),
-        ("trivial", kernels.simulate_trivial_disjointness),
+    CASES = (
+        (kernels.simulate_optimal_disjointness, OptimalDisjointnessProtocol),
+        (kernels.simulate_naive_disjointness, NaiveDisjointnessProtocol),
+        (kernels.simulate_trivial_disjointness, TrivialDisjointnessProtocol),
     )
-    PROTOCOLS = {
-        "optimal": "OptimalDisjointnessProtocol",
-        "naive": "NaiveDisjointnessProtocol",
-        "trivial": "TrivialDisjointnessProtocol",
-    }
 
     @pytest.mark.parametrize("point", ((64, 4), (256, 4), (256, 8)))
     def test_measure_point_identical(self, point):
         n, k = point
-        legacy, vectorized = both_kernels(lambda: measure_point(n, k))
-        assert legacy == vectorized
+        inputs = partition_instance(n, k)
+        runner_bits = tuple(
+            run_protocol(protocol_cls(n, k), inputs).bits_communicated
+            for _simulate, protocol_cls in self.CASES
+        )
+        assert measure_point(n, k) == runner_bits
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances(self, seed):
-        from repro.protocols import (
-            NaiveDisjointnessProtocol,
-            OptimalDisjointnessProtocol,
-            TrivialDisjointnessProtocol,
-        )
-
-        classes = {
-            "optimal": OptimalDisjointnessProtocol,
-            "naive": NaiveDisjointnessProtocol,
-            "trivial": TrivialDisjointnessProtocol,
-        }
         rng = random.Random(seed)
         n = rng.choice((16, 48, 96))
         k = rng.choice((3, 4, 6))
         inputs = random_instance(n, k, rng)
         task = disjointness_task(n, k)
-        for name, simulate in self.SIMULATORS:
+        for simulate, protocol_cls in self.CASES:
             bits, output = simulate(n, k, inputs)
-            outcome = run_protocol(classes[name](n, k), inputs)
+            outcome = run_protocol(protocol_cls(n, k), inputs)
             assert output == outcome.output == task.evaluate(inputs)
             assert bits == outcome.bits_communicated
 
     def test_partition_worst_case(self):
-        from repro.protocols import OptimalDisjointnessProtocol
-
         n, k = 128, 8
         inputs = partition_instance(n, k)
         bits, output = kernels.simulate_optimal_disjointness(n, k, inputs)
@@ -391,11 +340,9 @@ class TestDisjointnessSimulators:
 # ----------------------------------------------------------------------
 # Telemetry: the kernel_vectorized_calls counter.
 # ----------------------------------------------------------------------
-@numpy_required
 class TestVectorizedCallCounter:
     def teardown_method(self):
         disable_metrics()
-        kernels.set_kernel(None)
 
     def test_vectorized_ops_are_counted(self):
         enable_metrics(reset=True)
@@ -403,9 +350,8 @@ class TestVectorizedCallCounter:
         scenarios = scenario_distribution(
             list(itertools.product((0, 1), repeat=3))
         )
-        with kernels.using_kernel("vectorized"):
-            batched_joint_transcript_distribution(protocol, scenarios)
-            kernels.simulate_trivial_disjointness(8, 2, (3, 5))
+        batched_joint_transcript_distribution(protocol, scenarios)
+        kernels.simulate_trivial_disjointness(8, 2, (3, 5))
         counter = REGISTRY.counter("kernel_vectorized_calls")
         assert counter.value(op="tree_walk") >= 1
         assert counter.value(op="e1_trivial") == 1
@@ -413,35 +359,27 @@ class TestVectorizedCallCounter:
     def test_legacy_runs_emit_nothing(self):
         enable_metrics(reset=True)
         protocol = SequentialAndProtocol(3)
-        scenarios = scenario_distribution(
-            list(itertools.product((0, 1), repeat=3))
-        )
-        with kernels.using_kernel("legacy"):
-            batched_joint_transcript_distribution(protocol, scenarios)
+        input_keys = list(itertools.product((0, 1), repeat=3))
+        tree._legacy_walk_sorted_leaves(protocol, input_keys)
+        # Below the support threshold entropy stays on the scalar loop.
+        DiscreteDistribution({"a": 0.25, "b": 0.75}).entropy()
         assert REGISTRY.counter("kernel_vectorized_calls").total() == 0
 
 
 # ----------------------------------------------------------------------
-# Experiment-level identity: --kernel must never change a table.
+# Experiment-level identity: the engine never changes a table.
 # ----------------------------------------------------------------------
-@numpy_required
 class TestExperimentKernelIdentity:
     def test_e1_table_identical(self):
         from repro.experiments.e1_disjointness_scaling import run
 
-        legacy = run(grid=[(64, 4), (256, 8)], kernel="legacy")
-        vectorized = run(grid=[(64, 4), (256, 8)], kernel="vectorized")
-        assert legacy.render() == vectorized.render()
+        # The loopback transport runs every protocol message by message.
+        simulated = run(grid=[(64, 4), (256, 8)])
+        runner = run(grid=[(64, 4), (256, 8)], transport="loopback")
+        assert simulated.render() == runner.render()
 
-    def test_e14_table_identical(self):
+    def test_e14_table_identical(self, both_engines):
         from repro.experiments.e14_optimal_information import run
 
-        legacy = run(ks=[2, 3, 4], kernel="legacy")
-        vectorized = run(ks=[2, 3, 4], kernel="vectorized")
-        assert legacy.render() == vectorized.render()
-
-    def test_unknown_kernel_rejected(self):
-        from repro.experiments.e1_disjointness_scaling import run
-
-        with pytest.raises(ValueError, match="unknown kernel"):
-            run(grid=[(64, 4)], kernel="simd")
+        legacy, vectorized = both_engines(lambda: run(ks=[2, 3, 4]).render())
+        assert legacy == vectorized

@@ -10,12 +10,10 @@ Worker task functions live at module level so they are picklable.
 
 import os
 
-import pytest
+import numpy
 
 from repro.obs import REGISTRY, disable_metrics, enable_metrics
 from repro.perf import map_grid, shm
-
-numpy = pytest.importorskip("numpy")
 
 
 def make_result(scale):

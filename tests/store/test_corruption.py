@@ -8,10 +8,20 @@ or the checksum itself) raises :exc:`StoreCorruptedError` rather than
 serving bytes that are not provably the cached result.
 """
 
-import pytest
+import json
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.coding.integrity import seal
 from repro.store import ResultKey, ResultStore, StoreCorruptedError
-from repro.store.store import decode_entry, encode_entry
+from repro.store.store import (
+    _HEADER_LEN_BYTES,
+    MAGIC,
+    decode_entry,
+    encode_entry,
+)
 
 KEY = ResultKey(
     experiment="E2",
@@ -113,3 +123,60 @@ def test_sweep_treats_corruption_as_a_miss(populated):
             version="e2-and-cic/1",
         )
     ) == b"30"
+
+
+#: Entry headers: arbitrary bytes, deep ``[``/``{`` nesting (up to a
+#: 200 000-byte header), token soup, and well-formed JSON of any shape —
+#: including entry-shaped objects whose fields hold arbitrary values.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+_HEADERS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda opener, depth, tail: opener * depth + tail,
+        st.sampled_from([b"[", b'{"key":', b"[{"]),
+        st.integers(0, 200_000),
+        st.binary(max_size=8),
+    ),
+    st.lists(
+        st.sampled_from([b"[", b"]", b"{", b"}", b",", b":", b'"key"',
+                         b'"payload_bytes"', b"1", b"null", b"1" * 5000]),
+        max_size=24,
+    ).map(b"".join),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.fixed_dictionaries(
+        {"key": _JSON_VALUES | st.fixed_dictionaries({
+            "experiment": _JSON_VALUES, "params": _JSON_VALUES,
+            "seed": _JSON_VALUES, "version": _JSON_VALUES,
+        }),
+         "payload_bytes": _JSON_VALUES | st.integers(0, 64)},
+    ).map(lambda value: json.dumps(value).encode("utf-8")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=_HEADERS,
+    header_len=st.none() | st.integers(0, 2**32 - 1),
+    payload=st.binary(max_size=64),
+)
+@example(  # nests deeper than the JSON parser's recursion limit
+    header=b"[" * 200_000, header_len=None, payload=b"",
+)
+def test_sealed_arbitrary_body_raises_only_typed_errors(
+    header, header_len, payload
+):
+    """A body that passes its CRC seal can still be anything; decoding
+    must return a key and payload or raise StoreCorruptedError."""
+    length = len(header) if header_len is None else header_len
+    body = length.to_bytes(_HEADER_LEN_BYTES, "big") + header + payload
+    try:
+        key, decoded = decode_entry(MAGIC + seal(body))
+    except StoreCorruptedError:
+        return
+    assert isinstance(key, ResultKey)
+    assert decoded == body[_HEADER_LEN_BYTES + length:]
