@@ -30,12 +30,18 @@ default tolerance (2×) is deliberately generous — this harness exists to
 catch algorithmic regressions (a kernel going quadratic), not scheduler
 noise.
 
+The per-message scaling gate times one message-by-message run at
+``k = 512`` and at ``k = 4096`` players (8x the messages) on the
+blackboard runner and on the coordinator medium; the ratio must stay
+below a ceiling between linear (8x) and quadratic (64x) growth.
+
 The E1 serial-vs-parallel speedup and the fabric ceilings are
 *recorded* (with the machine's CPU count) but only *enforced* when the
 checking machine has at least 4 CPUs — on fewer cores a process pool
 cannot win wall-clock and the number documents that honestly.  The
-vectorized-vs-legacy head-to-heads are same-process ratios that need no
-spare cores, so their floors are enforced on any machine.
+vectorized-vs-legacy head-to-heads and the per-message scaling gate
+are same-process ratios that need no spare cores, so they are enforced
+on any machine.
 """
 
 from __future__ import annotations
@@ -65,6 +71,15 @@ SPEEDUP_FLOOR = 2.0
 #: 7x.
 TREE_KERNEL_SPEEDUP_FLOOR = 10.0
 SAMPLER_KERNEL_SPEEDUP_FLOOR = 5.0
+
+#: Per-message scaling (same-process ratio, enforced on any CPU count).
+#: Simulating T messages must cost O(T): a run with 8x the messages may
+#: take at most this multiple of the small run's time — well above
+#: linear (8x), well below quadratic (64x).  A per-message cost that
+#: grows with the transcript (re-summing message lengths, scanning every
+#: link) lands near the quadratic end.
+MESSAGE_SCALING_SIZES = (512, 4096)
+MESSAGE_SCALING_CEILING = 24.0
 
 #: Fabric cold-sweep overhead: the loopback fabric runs the same cell
 #: kernels in-process plus per-cell framing, CRC sealing, scheduling,
@@ -276,6 +291,62 @@ def measure_kernel_speedups():
     }
 
 
+def measure_message_scaling():
+    """Per-message cost, timed in this process: one all-ones ``AND_k``
+    run at each of :data:`MESSAGE_SCALING_SIZES` players — ``k`` messages
+    each — on the blackboard runner and on the coordinator medium."""
+    from repro.core.runner import run_protocol
+    from repro.protocols import SequentialAndProtocol
+    from repro.topology import (
+        COORDINATOR,
+        CoordinatorAndProtocol,
+        run_on_medium,
+    )
+
+    engines = {
+        "runner_sequential_and": lambda k: run_protocol(
+            SequentialAndProtocol(k), (1,) * k
+        ),
+        "coordinator_and": lambda k: run_on_medium(
+            CoordinatorAndProtocol(k), COORDINATOR, (1,) * k
+        ),
+    }
+    small, large = MESSAGE_SCALING_SIZES
+    results = {}
+    for name, run in engines.items():
+        small_s = best_of(lambda: run(small), repeats=7)
+        large_s = best_of(lambda: run(large), repeats=3)
+        results[name] = {
+            "sizes": [small, large],
+            "small_s": small_s,
+            "large_s": large_s,
+            "ratio": large_s / small_s,
+            "ceiling": MESSAGE_SCALING_CEILING,
+        }
+    return results
+
+
+def check_message_scaling(scaling):
+    """Print the scaling gate and return its failure strings."""
+    failures = []
+    for name, entry in scaling.items():
+        small, large = entry["sizes"]
+        verdict = "ok"
+        if entry["ratio"] > entry["ceiling"]:
+            verdict = "REGRESSION"
+            failures.append(
+                f"{name}: k={large} run takes {entry['ratio']:.1f}x the "
+                f"k={small} run > {entry['ceiling']}x ceiling (8x the "
+                "messages; linear is 8x, quadratic 64x)"
+            )
+        print(
+            f"  {name} per-message scaling: k={small} "
+            f"{entry['small_s']:.4f}s, k={large} {entry['large_s']:.4f}s, "
+            f"{entry['ratio']:.1f}x (ceiling {entry['ceiling']}x)  {verdict}"
+        )
+    return failures
+
+
 def measure_fabric():
     """Fabric-vs-serial cold sweep timing on E2's quick grid plus
     warm-serve latency through a live server.
@@ -381,6 +452,7 @@ def measure():
         "speedup_at_4_workers": serial_s / workers4_s,
     }
     results["kernel_speedups"] = measure_kernel_speedups()
+    results["message_scaling"] = measure_message_scaling()
     results["fabric"] = measure_fabric()
     results["machine"] = {
         "cpu_count": os.cpu_count(),
@@ -471,6 +543,8 @@ def check(baseline, current, tolerance):
             f"{entry['speedup']:.1f}x (floor {entry['floor']}x)  "
             f"{verdict}"
         )
+
+    failures += check_message_scaling(current["message_scaling"])
 
     fabric = current["fabric"]
     enforce = cpus >= MIN_CPUS_FOR_SPEEDUP_CHECK

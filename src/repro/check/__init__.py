@@ -17,7 +17,13 @@ The subsystem has four layers (see ``docs/testing.md`` for the guide):
   replayable failure bundles, all behind ``python -m repro.check``.
 """
 
-from .bundle import ReproBundle, load_bundle, replay_bundle, write_bundle
+from .bundle import (
+    BundleFormatError,
+    ReproBundle,
+    load_bundle,
+    replay_bundle,
+    write_bundle,
+)
 from .generator import (
     GeneratedCase,
     GeneratedProtocol,
@@ -75,6 +81,7 @@ __all__ = [
     "run_suite",
     "shrink_case",
     "shrink_candidates",
+    "BundleFormatError",
     "ReproBundle",
     "write_bundle",
     "load_bundle",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bundle import load_bundle, replay_bundle
+from .bundle import BundleFormatError, load_bundle, replay_bundle
 from .harness import run_suite
 from .oracles import ALL_ORACLES, oracle_by_name
 
@@ -160,13 +160,17 @@ def _fuzz(args, oracles) -> int:
 
 
 def _replay(path: str) -> int:
-    bundle = load_bundle(path)
-    names = ", ".join(bundle.failing_oracles) or "all"
-    print(
-        f"replaying bundle {path} (case {bundle.case_index}, "
-        f"oracles: {names})"
-    )
-    results = replay_bundle(path)
+    try:
+        bundle = load_bundle(path)
+        names = ", ".join(bundle.failing_oracles) or "all"
+        print(
+            f"replaying bundle {path} (case {bundle.case_index}, "
+            f"oracles: {names})"
+        )
+        results = replay_bundle(path)
+    except (OSError, BundleFormatError) as error:
+        print(f"cannot replay {path}: {error}", file=sys.stderr)
+        return 2
     for result in results:
         marker = "ok" if result.ok else "FAIL"
         print(f"  [{result.oracle}] {marker}: {result.details}")

@@ -28,6 +28,7 @@ from .spec import CaseSpec
 
 __all__ = [
     "BUNDLE_FORMAT",
+    "BundleFormatError",
     "ReproBundle",
     "write_bundle",
     "load_bundle",
@@ -35,6 +36,12 @@ __all__ = [
 ]
 
 BUNDLE_FORMAT = "repro.check/bundle/1"
+
+
+class BundleFormatError(ValueError):
+    """A bundle file that is not a valid repro bundle: unreadable bytes,
+    invalid JSON, the wrong format tag, or a malformed spec or failure
+    record.  The only error :func:`load_bundle` raises for bad content."""
 
 
 @dataclass(frozen=True)
@@ -59,27 +66,65 @@ class ReproBundle:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ReproBundle":
+    def from_dict(cls, payload: Any) -> "ReproBundle":
+        """Rebuild a bundle from its JSON value; raises
+        :class:`BundleFormatError` on anything else."""
+        if not isinstance(payload, dict):
+            raise BundleFormatError(
+                f"a bundle is a JSON object, got {type(payload).__name__}"
+            )
         if payload.get("format") != BUNDLE_FORMAT:
-            raise ValueError(
+            raise BundleFormatError(
                 f"unsupported bundle format {payload.get('format')!r}"
             )
+        master_seed = payload.get("master_seed")
+        if master_seed is not None and type(master_seed) is not int:
+            raise BundleFormatError(f"master_seed {master_seed!r} is not int")
+        case_index = payload.get("case_index", -1)
+        if type(case_index) is not int:
+            raise BundleFormatError(f"case_index {case_index!r} is not int")
+        failures = payload.get("failures", [])
+        if not isinstance(failures, list) or not all(
+            isinstance(f, dict)
+            and isinstance(f.get("oracle"), str)
+            and isinstance(f.get("ok"), bool)
+            and isinstance(f.get("details"), str)
+            for f in failures
+        ):
+            raise BundleFormatError(
+                "failures must be a list of {oracle, ok, details} records"
+            )
         return cls(
-            master_seed=payload.get("master_seed"),
-            case_index=int(payload.get("case_index", -1)),
-            spec=CaseSpec.from_dict(payload["spec"]),
-            shrunk_spec=CaseSpec.from_dict(payload["shrunk_spec"]),
+            master_seed=master_seed,
+            case_index=case_index,
+            spec=_spec_from(payload, "spec"),
+            shrunk_spec=_spec_from(payload, "shrunk_spec"),
             failures=tuple(
                 OracleResult(
-                    oracle=f["oracle"], ok=bool(f["ok"]), details=f["details"]
+                    oracle=f["oracle"], ok=f["ok"], details=f["details"]
                 )
-                for f in payload.get("failures", [])
+                for f in failures
             ),
         )
 
     @property
     def failing_oracles(self) -> List[str]:
         return [result.oracle for result in self.failures if not result.ok]
+
+
+def _spec_from(payload: Dict[str, Any], key: str) -> CaseSpec:
+    spec = payload.get(key)
+    if not isinstance(spec, dict):
+        raise BundleFormatError(f"{key} must be a JSON object, got {spec!r}")
+    try:
+        return CaseSpec.from_dict(spec)
+    except (
+        # Everything a JSON object of the wrong shape makes the field
+        # conversions and CaseSpec validation raise (OverflowError:
+        # ``int(float("inf"))``).
+        KeyError, TypeError, ValueError, AttributeError, OverflowError,
+    ) as error:
+        raise BundleFormatError(f"malformed {key}: {error!r}") from None
 
 
 def write_bundle(
@@ -97,8 +142,22 @@ def write_bundle(
 
 
 def load_bundle(path: str) -> ReproBundle:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ReproBundle.from_dict(json.load(handle))
+    """Read the bundle at ``path``.
+
+    Raises :class:`BundleFormatError` when the file's content is not a
+    valid bundle, and ``OSError`` when it cannot be read at all.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors;
+        # pathologically nested arrays exhaust the parser's stack.
+        raise BundleFormatError(
+            f"not a JSON bundle: {type(error).__name__}: {error}"
+        ) from None
+    return ReproBundle.from_dict(payload)
 
 
 def replay_bundle(
@@ -119,7 +178,12 @@ def replay_bundle(
     case = case_from_spec(spec, index=bundle.case_index)
     if oracles is None:
         names = bundle.failing_oracles
-        oracles = (
-            [oracle_by_name(name) for name in names] if names else ALL_ORACLES
-        )
+        try:
+            oracles = (
+                [oracle_by_name(name) for name in names]
+                if names
+                else ALL_ORACLES
+            )
+        except KeyError as error:
+            raise BundleFormatError(error.args[0]) from None
     return [oracle.check(case) for oracle in oracles]

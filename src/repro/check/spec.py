@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
+from ..coding.bitio import check_bits
 from ..core.model import ProtocolViolation, check_prefix_free
 
 __all__ = ["CaseSpec", "SPEC_FORMAT"]
@@ -90,6 +91,10 @@ class CaseSpec:
         for pos, code in enumerate(self.codes):
             if not code:
                 raise ValueError(f"position {pos} has an empty code")
+            for word in code:
+                if not isinstance(word, str):
+                    raise ValueError(f"position {pos}: {word!r} is not a str")
+                check_bits(word, f"position {pos}: not a bit string")
             try:
                 check_prefix_free(code)
             except ProtocolViolation as error:

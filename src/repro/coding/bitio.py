@@ -17,14 +17,22 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-__all__ = ["Bits", "BitWriter", "BitReader"]
+__all__ = ["Bits", "BitWriter", "BitReader", "check_bits"]
 
 Bits = str
 
 
-def _validate_bits(bits: str) -> None:
-    if not all(c in "01" for c in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
+def check_bits(bits: str, what: str = "not a bit string") -> None:
+    """Raise ``ValueError(f"{what}: {bits!r}")`` unless ``bits`` is a
+    string of ``'0'``/``'1'`` characters (the empty string included).
+
+    The one bit-string validator of the library: messages, wire frames
+    and the writer/reader all call it.  ``str.strip`` scans in C, so the
+    check costs far less than a per-character Python loop on the
+    per-message path.
+    """
+    if bits.strip("01"):
+        raise ValueError(f"{what}: {bits!r}")
 
 
 class BitWriter:
@@ -44,7 +52,7 @@ class BitWriter:
 
     def write_bits(self, bits: Bits) -> "BitWriter":
         """Append a raw bit string verbatim."""
-        _validate_bits(bits)
+        check_bits(bits)
         self._chunks.append(bits)
         return self
 
@@ -77,7 +85,7 @@ class BitReader:
     __slots__ = ("_bits", "_pos")
 
     def __init__(self, bits: Bits) -> None:
-        _validate_bits(bits)
+        check_bits(bits)
         self._bits = bits
         self._pos = 0
 
@@ -134,6 +142,6 @@ def concat_bits(parts: Iterable[Bits]) -> Bits:
     """Concatenate bit strings, validating each part."""
     out = []
     for part in parts:
-        _validate_bits(part)
+        check_bits(part)
         out.append(part)
     return "".join(out)

@@ -13,13 +13,14 @@ def bits_of(mask: int) -> List[int]:
     """The set bit positions of ``mask`` in increasing order."""
     if mask < 0:
         raise ValueError(f"mask must be non-negative, got {mask}")
+    # ``digits[i]`` is bit ``i``.  Scanning the string keeps this linear
+    # in the mask's length; shifting a big integer per bit is quadratic.
+    digits = bin(mask)[:1:-1]
     out: List[int] = []
-    position = 0
-    while mask:
-        if mask & 1:
-            out.append(position)
-        mask >>= 1
-        position += 1
+    position = digits.find("1")
+    while position >= 0:
+        out.append(position)
+        position = digits.find("1", position + 1)
     return out
 
 

@@ -66,14 +66,25 @@ def subset_unrank(rank: int, n: int, m: int) -> List[int]:
     subset: List[int] = []
     remaining = rank
     # Choose elements largest-first: the largest element c satisfies
-    # C(c, m) <= remaining < C(c+1, m).
+    # C(c, m) <= remaining < C(c+1, m).  ``count`` tracks
+    # C(candidate, size) and is stepped by exact integer ratios instead
+    # of recomputed per candidate:
+    #   C(c-1, s)   = C(c, s) * (c - s) / c
+    #   C(c-1, s-1) = C(c, s) * s / c
+    # Both divisions are exact.  A step down only happens while
+    # count > remaining >= 0, so there c >= s >= 1; a chosen c of 0 ends
+    # the loop (it can only be chosen at size 1).
     size = m
     candidate = n - 1
+    count = binomial(candidate, size)
     while size > 0:
-        while binomial(candidate, size) > remaining:
+        while count > remaining:
+            count = count * (candidate - size) // candidate
             candidate -= 1
         subset.append(candidate)
-        remaining -= binomial(candidate, size)
+        remaining -= count
+        if candidate:
+            count = count * size // candidate
         size -= 1
         candidate -= 1
     subset.reverse()

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..information.distribution import DiscreteDistribution
-from ..coding.bitio import Bits
+from ..coding.bitio import Bits, check_bits
 
 __all__ = [
     "Message",
@@ -85,8 +85,7 @@ class Message:
     def __post_init__(self) -> None:
         if self.speaker < 0:
             raise ValueError(f"speaker index must be >= 0, got {self.speaker}")
-        if not all(c in "01" for c in self.bits):
-            raise ValueError(f"message bits must be a 0/1 string: {self.bits!r}")
+        check_bits(self.bits, "message bits must be a 0/1 string")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -152,8 +151,18 @@ class Transcript:
         return [m.speaker for m in self._messages]
 
     def extend(self, message: Message) -> "Transcript":
-        """A new transcript with ``message`` appended."""
-        return Transcript(self._messages + (message,))
+        """A new transcript with ``message`` appended.
+
+        The bit count is carried forward, so an append costs one tuple
+        copy and no per-message Python loop.  The result equals
+        (``==``, ``hash``, ``bits_written``) the same transcript built
+        through ``Transcript(messages)``.
+        """
+        extended = Transcript.__new__(Transcript)
+        extended._messages = self._messages + (message,)
+        extended._bits_written = self._bits_written + len(message.bits)
+        extended._hash = None
+        return extended
 
     def messages_by(self, player: int) -> List[Message]:
         """All messages written by ``player``, in order."""

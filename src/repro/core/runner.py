@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY
 from ..obs.trace import Tracer, get_tracer
@@ -149,7 +149,6 @@ def _execute(
     # bool check rather than a __bool__ method call.
     traced = bool(tracer)
     state = protocol.initial_state()
-    messages: List[Message] = []
     bits = 0
     board = Transcript()
     for _ in range(max_messages):
@@ -160,7 +159,7 @@ def _execute(
                 tracer.event(
                     "run_complete",
                     bits=bits,
-                    rounds=len(messages),
+                    rounds=len(board),
                     output=output,
                 )
             if reg is not None:
@@ -170,13 +169,13 @@ def _execute(
                     bits, protocol=name, players=protocol.num_players
                 )
                 reg.counter("runner_messages").inc(
-                    len(messages), protocol=name
+                    len(board), protocol=name
                 )
             return ProtocolRun(
                 transcript=board,
                 output=output,
                 bits_communicated=bits,
-                rounds=len(messages),
+                rounds=len(board),
             )
         if not 0 <= speaker < protocol.num_players:
             raise ProtocolViolation(
@@ -196,14 +195,13 @@ def _execute(
         if message_bits == "":
             raise ProtocolViolation("protocols may not write empty messages")
         message = Message(speaker=speaker, bits=message_bits)
-        messages.append(message)
         bits += len(message)
         if traced:
             tracer.event(
                 "message",
                 speaker=speaker,
                 bits=len(message),
-                round=len(messages) - 1,
+                round=len(board),
                 cumulative_bits=bits,
             )
         if message_bits_hist is not None:

@@ -77,7 +77,18 @@ from .framing import (
 from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
 from .runner import TRANSPORTS, reference_run, run_networked
 from .server import BlackboardServer
-from .tcp import TCP_RETRY_POLICY, run_tcp
+
+
+def __getattr__(name: str):
+    # The TCP transport pulls in asyncio and ssl, several MB of resident
+    # memory a loopback-only caller never uses, so its names load on
+    # first access.
+    if name in ("TCP_RETRY_POLICY", "run_tcp"):
+        from . import tcp
+
+        return getattr(tcp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     # runner

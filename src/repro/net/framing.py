@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, List, Optional, Tuple
 
-from ..coding.bitio import BitReader, BitWriter, Bits
+from ..coding.bitio import BitReader, BitWriter, Bits, check_bits
 from ..coding.integrity import crc32
 from ..coding.varint import (
     decode_elias_delta,
@@ -160,8 +160,7 @@ class Frame:
             raise ValueError(f"round_index must be >= 0, got {self.round_index}")
         if self.coin_draws < 0:
             raise ValueError(f"coin_draws must be >= 0, got {self.coin_draws}")
-        if not all(c in "01" for c in self.payload):
-            raise ValueError(f"payload must be a bit string: {self.payload!r}")
+        check_bits(self.payload, "payload must be a bit string")
         if self.trace_id is not None and self.trace_id < 0:
             raise ValueError(f"trace_id must be >= 0, got {self.trace_id}")
         if self.parent_span is not None:

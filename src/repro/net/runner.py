@@ -37,7 +37,6 @@ from .byzantine import ByzantineConfig
 from .client import RetryPolicy
 from .faults import FaultPlan
 from .loopback import DEFAULT_MAX_STEPS, LoopbackRunner
-from .tcp import run_tcp
 
 __all__ = ["run_networked", "TRANSPORTS"]
 
@@ -134,6 +133,10 @@ def run_networked(
                 "byzantine fault injection is loopback-only: pass a "
                 "ByzantineConfig without a plan on transport='tcp'"
             )
+        # Imported here: the TCP transport pulls in asyncio and ssl,
+        # several MB of resident memory a loopback run never uses.
+        from .tcp import run_tcp
+
         return run_tcp(
             protocol,
             inputs,

@@ -51,7 +51,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..coding.bitio import Bits
+from ..coding.bitio import Bits, check_bits
 from ..obs.metrics import REGISTRY
 
 __all__ = [
@@ -158,8 +158,7 @@ class LinkMessage:
             raise ValueError(f"speaker index must be >= 0, got {self.speaker}")
         if not isinstance(self.link, (Link, _BoardLink)):
             raise ValueError(f"link must be a Link or BOARD_LINK: {self.link!r}")
-        if not all(c in "01" for c in self.bits):
-            raise ValueError(f"message bits must be a 0/1 string: {self.bits!r}")
+        check_bits(self.bits, "message bits must be a 0/1 string")
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -227,7 +226,13 @@ class LinkTranscript:
         return [m.speaker for m in self._messages]
 
     def extend(self, message: LinkMessage) -> "LinkTranscript":
-        return LinkTranscript(self._messages + (message,))
+        """A new transcript with ``message`` appended, carrying the bit
+        count forward (see :meth:`repro.core.model.Transcript.extend`)."""
+        extended = LinkTranscript.__new__(LinkTranscript)
+        extended._messages = self._messages + (message,)
+        extended._bits_written = self._bits_written + len(message.bits)
+        extended._hash = None
+        return extended
 
     def messages_by(self, node: int) -> List[LinkMessage]:
         return [m for m in self._messages if m.speaker == node]
@@ -280,7 +285,13 @@ class Medium(abc.ABC):
 
     @abc.abstractmethod
     def may_write(self, k: int, node: int, link: Any) -> bool:
-        """Whether ``node`` may write on ``link`` (adjacency)."""
+        """Whether ``node`` may write on ``link`` (adjacency).
+
+        Contract: ``may_write(k, node, link)`` implies
+        ``link in links(k)``.  :meth:`check_edge` relies on it to accept
+        a legal write without scanning :meth:`links`; every shipped
+        medium satisfies it, and a custom medium must too.
+        """
 
     @abc.abstractmethod
     def visible(self, k: int, link: Any, node: int) -> bool:
@@ -331,22 +342,28 @@ class Medium(abc.ABC):
     # ------------------------------------------------------------------
     def check_edge(self, k: int, speaker: int, link: Any) -> None:
         """Raise :class:`TopologyViolation` unless ``speaker`` exists and
-        may write on ``link``."""
+        may write on ``link``.
+
+        A legal write costs one :meth:`may_write` call; :meth:`links` is
+        scanned only to pick which error a rejected write raises (see the
+        :meth:`may_write` contract).
+        """
         if not 0 <= speaker < self.num_nodes(k):
             raise TopologyViolation(
                 f"{self.name or type(self).__name__}: node {speaker!r} does "
                 f"not exist (nodes 0..{self.num_nodes(k) - 1})"
             )
+        if self.may_write(k, speaker, link):
+            return
         if link not in self.links(k):
             raise TopologyViolation(
                 f"{self.name or type(self).__name__}: {link!r} is not a "
                 "link of this medium"
             )
-        if not self.may_write(k, speaker, link):
-            raise TopologyViolation(
-                f"{self.name or type(self).__name__}: node {speaker} may "
-                f"not write on {link!r} (not an endpoint)"
-            )
+        raise TopologyViolation(
+            f"{self.name or type(self).__name__}: node {speaker} may "
+            f"not write on {link!r} (not an endpoint)"
+        )
 
 
 class BroadcastMedium(Medium):
@@ -483,7 +500,11 @@ class GraphMedium(Medium):
         return self._links
 
     def may_write(self, k: int, node: int, link: Any) -> bool:
-        return link in self._link_set and isinstance(link, Link) and link.touches(node)
+        return (
+            isinstance(link, Link)
+            and link in self._link_set
+            and link.touches(node)
+        )
 
     def visible(self, k: int, link: Any, node: int) -> bool:
         return isinstance(link, Link) and link.touches(node)

@@ -1,6 +1,8 @@
 """Tests for the blackboard model primitives (Section 3 semantics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     Message,
@@ -10,6 +12,40 @@ from repro.core import (
     check_prefix_free,
 )
 from repro.information import DiscreteDistribution
+
+
+MESSAGES = st.builds(
+    Message,
+    speaker=st.integers(0, 5),
+    bits=st.text(alphabet="01", min_size=1, max_size=12),
+)
+
+
+class TestExtendMatchesConstructor:
+    """``extend`` carries the bit count forward instead of re-summing;
+    every prefix must equal the same transcript built by ``__init__``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MESSAGES, max_size=30))
+    def test_every_prefix(self, messages):
+        board = Transcript()
+        for length, message in enumerate(messages, start=1):
+            board = board.extend(message)
+            built = Transcript(messages[:length])
+            assert board.bits_written == built.bits_written == sum(
+                len(m.bits) for m in messages[:length]
+            )
+            assert board == built and hash(board) == hash(built)
+            assert board.messages == built.messages
+            assert len(board) == length
+
+    def test_extend_leaves_parent_hash_cache_alone(self):
+        parent = Transcript([Message(0, "1")])
+        before = hash(parent)
+        child = parent.extend(Message(1, "01"))
+        assert hash(parent) == before
+        assert hash(child) == hash(Transcript(child.messages))
+        assert type(child) is Transcript
 
 
 class TestMessage:

@@ -7,7 +7,10 @@ Kept to a handful of protocols so the smoke job stays fast; fault
 injection is a loopback-only feature and is asserted rejected here.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +41,30 @@ def test_tcp_rejects_fault_plans():
             transport="tcp",
             faults=FaultPlan(drop_rate=0.1),
         )
+
+
+def test_loopback_users_never_load_asyncio():
+    """The TCP transport (and the asyncio / ssl it imports) loads only
+    when a TCP run or a TCP name asks for it — several MB of resident
+    memory a loopback-only process does not pay."""
+    script = (
+        "import sys\n"
+        "import repro.net\n"
+        "from repro.net import run_networked\n"
+        "from repro.protocols import SequentialAndProtocol\n"
+        "run = run_networked(SequentialAndProtocol(3), (1, 1, 1), seed=0)\n"
+        "assert run.output == 1\n"
+        "assert 'asyncio' not in sys.modules, 'loopback loaded asyncio'\n"
+        "from repro.net import TCP_RETRY_POLICY, run_tcp\n"
+        "import repro.net.tcp as tcp\n"
+        "assert run_tcp is tcp.run_tcp\n"
+        "assert TCP_RETRY_POLICY is tcp.TCP_RETRY_POLICY\n"
+        "assert 'asyncio' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

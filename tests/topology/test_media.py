@@ -4,6 +4,8 @@ three media, and the typed rejection of topology violations."""
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology import (
     BOARD_LINK,
@@ -17,7 +19,7 @@ from repro.topology import (
     ring_medium,
     star_medium,
 )
-from repro.topology.medium import EMPTY_LINK_TRANSCRIPT
+from repro.topology.medium import EMPTY_LINK_TRANSCRIPT, Medium
 
 
 class TestLink:
@@ -169,3 +171,121 @@ class TestCheckEdge:
         # And the valid edge passes.
         COORDINATOR.check_edge(k, 0, Link(0, k))
         COORDINATOR.check_edge(k, k, Link(0, k))
+
+
+LINK_MESSAGES = st.builds(
+    LinkMessage,
+    speaker=st.integers(0, 4),
+    link=st.sampled_from([BOARD_LINK, Link(0, 4), Link(1, 4), Link(2, 3)]),
+    bits=st.text(alphabet="01", min_size=1, max_size=12),
+)
+
+
+class TestLinkTranscriptExtend:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(LINK_MESSAGES, max_size=30))
+    def test_extend_matches_constructor(self, messages):
+        transcript = LinkTranscript()
+        for length, message in enumerate(messages, start=1):
+            transcript = transcript.extend(message)
+            built = LinkTranscript(messages[:length])
+            assert transcript.bits_written == built.bits_written
+            assert transcript.bits_written == sum(
+                len(m.bits) for m in messages[:length]
+            )
+            assert transcript == built and hash(transcript) == hash(built)
+            assert transcript.bits_by_link() == built.bits_by_link()
+
+
+def reference_check_edge(medium, k, speaker, link):
+    """The check as it was written before the ``may_write`` fast path:
+    node, then ``links(k)`` membership, then adjacency."""
+    name = medium.name or type(medium).__name__
+    if not 0 <= speaker < medium.num_nodes(k):
+        raise TopologyViolation(
+            f"{name}: node {speaker!r} does not exist "
+            f"(nodes 0..{medium.num_nodes(k) - 1})"
+        )
+    if link not in medium.links(k):
+        raise TopologyViolation(
+            f"{name}: {link!r} is not a link of this medium"
+        )
+    if not medium.may_write(k, speaker, link):
+        raise TopologyViolation(
+            f"{name}: node {speaker} may not write on {link!r} "
+            "(not an endpoint)"
+        )
+
+
+def edge_outcome(check, medium, k, speaker, link):
+    try:
+        check(medium, k, speaker, link)
+    except TopologyViolation as error:
+        return str(error)
+    return None
+
+
+#: (medium, players k): the three shipped media on the same small k,
+#: plus a ring, whose links are not all incident to one hub.
+SHIPPED_MEDIA = [
+    (BROADCAST, 4),
+    (COORDINATOR, 4),
+    (star_medium(4), 4),
+    (ring_medium(5), 5),
+]
+
+
+def candidate_links(nodes):
+    links = [BOARD_LINK, "not-a-link", None, (0, 1)]
+    links += [
+        Link(a, b) for a in range(nodes + 2) for b in range(a + 1, nodes + 2)
+    ]
+    return links
+
+
+def error_kind(outcome):
+    if outcome is None:
+        return None
+    if "does not exist" in outcome:
+        return "no node"
+    if outcome.endswith("is not a link of this medium"):
+        return "not a link"
+    assert outcome.endswith("(not an endpoint)"), outcome
+    return "not an endpoint"
+
+
+class TestCheckEdgeFastPath:
+    @pytest.mark.parametrize(
+        "medium,k", SHIPPED_MEDIA, ids=[m.name for m, _ in SHIPPED_MEDIA]
+    )
+    def test_every_outcome_unchanged(self, medium, k):
+        nodes = medium.num_nodes(k)
+        kinds = set()
+        for speaker in range(-1, nodes + 2):
+            for link in candidate_links(nodes):
+                expected = edge_outcome(
+                    reference_check_edge, medium, k, speaker, link
+                )
+                actual = edge_outcome(
+                    Medium.check_edge, medium, k, speaker, link
+                )
+                assert actual == expected, (speaker, link)
+                kinds.add(error_kind(expected))
+        # The grid reaches the accepted case and every rejection the
+        # medium has (everyone may write on the board, so broadcast has
+        # no "not an endpoint").
+        expected_kinds = {None, "no node", "not a link", "not an endpoint"}
+        if medium is BROADCAST:
+            expected_kinds.discard("not an endpoint")
+        assert kinds == expected_kinds
+
+    @pytest.mark.parametrize(
+        "medium,k", SHIPPED_MEDIA, ids=[m.name for m, _ in SHIPPED_MEDIA]
+    )
+    def test_may_write_implies_listed_link(self, medium, k):
+        nodes = medium.num_nodes(k)
+        links = medium.links(k)
+        for speaker in range(nodes):
+            for link in candidate_links(nodes):
+                if medium.may_write(k, speaker, link):
+                    assert link in links, (speaker, link)
