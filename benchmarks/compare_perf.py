@@ -30,6 +30,11 @@ default tolerance (2×) is deliberately generous — this harness exists to
 catch algorithmic regressions (a kernel going quadratic), not scheduler
 noise.
 
+The shared-walk gate times ``expected_communication`` on the truncated
+``k = 32`` hard marginal against a per-input fold over
+``transcript_distribution``; the two must agree exactly and the shared
+walk must win by at least :data:`SHARED_WALK_SPEEDUP_FLOOR`.
+
 The per-message scaling gate times one message-by-message run at
 ``k = 512`` and at ``k = 4096`` players (8x the messages) on the
 blackboard runner and on the coordinator medium; the ratio must stay
@@ -39,9 +44,9 @@ The E1 serial-vs-parallel speedup and the fabric ceilings are
 *recorded* (with the machine's CPU count) but only *enforced* when the
 checking machine has at least 4 CPUs — on fewer cores a process pool
 cannot win wall-clock and the number documents that honestly.  The
-vectorized-vs-legacy head-to-heads and the per-message scaling gate
-are same-process ratios that need no spare cores, so they are enforced
-on any machine.
+vectorized-vs-legacy head-to-heads, the shared-walk gate and the
+per-message scaling gate are same-process ratios that need no spare
+cores, so they are enforced on any machine.
 """
 
 from __future__ import annotations
@@ -71,6 +76,15 @@ SPEEDUP_FLOOR = 2.0
 #: 7x.
 TREE_KERNEL_SPEEDUP_FLOOR = 10.0
 SAMPLER_KERNEL_SPEEDUP_FLOOR = 5.0
+
+#: Shared-walk population analysis (same-process ratio, enforced on any
+#: CPU count): ``expected_communication`` of sequential AND on the
+#: truncated k=32 hard marginal (5 488 inputs), which folds the laws of
+#: one shared tree walk, against an inline per-input fold over
+#: ``transcript_distribution``.  Both must give the same float; the
+#: ratio measured 6.1-6.7x over six runs on a 2-vCPU x86-64 host (best
+#: of 3 per-input runs against best of 9 shared runs).
+SHARED_WALK_SPEEDUP_FLOOR = 4.0
 
 #: Per-message scaling (same-process ratio, enforced on any CPU count).
 #: Simulating T messages must cost O(T): a run with 8x the messages may
@@ -291,6 +305,71 @@ def measure_kernel_speedups():
     }
 
 
+def measure_shared_walk():
+    """Shared-walk vs per-input ``expected_communication``, timed in this
+    process on the truncated k=32 hard marginal.  The per-input side is
+    the pre-sharing loop: one ``transcript_distribution`` DFS per input,
+    folded in the same float order."""
+    from repro.core import analysis, tree
+    from repro.lowerbounds.hard_distribution import and_hard_input_marginal
+    from repro.protocols import SequentialAndProtocol
+
+    protocol = SequentialAndProtocol(32)
+    marginal = and_hard_input_marginal(32, max_zeros=3)
+    values = {}
+
+    def per_input():
+        total = 0.0
+        for inputs, p_inputs in marginal.items():
+            law = tree.transcript_distribution(protocol, inputs)
+            total += p_inputs * sum(
+                p * transcript.bits_written for transcript, p in law.items()
+            )
+        values["per_input"] = total
+
+    def shared():
+        values["shared"] = analysis.expected_communication(protocol, marginal)
+
+    # The shared side is ~10x cheaper, so it gets more repeats: one slow
+    # sample there must not move the ratio.
+    per_input_s = best_of(per_input, repeats=3)
+    shared_s = best_of(shared, repeats=9)
+    return {
+        "inputs": len(marginal),
+        "per_input_s": per_input_s,
+        "shared_s": shared_s,
+        "speedup": per_input_s / shared_s,
+        "floor": SHARED_WALK_SPEEDUP_FLOOR,
+        "values_equal": values["per_input"] == values["shared"],
+    }
+
+
+def check_shared_walk(entry):
+    """Print the shared-walk gate and return its failure strings."""
+    failures = []
+    verdict = "ok"
+    if not entry["values_equal"]:
+        verdict = "MISMATCH"
+        failures.append(
+            "shared-walk expected_communication differs from the "
+            "per-input fold"
+        )
+    elif entry["speedup"] < entry["floor"]:
+        verdict = "REGRESSION"
+        failures.append(
+            f"shared-walk expected_communication: speedup "
+            f"{entry['speedup']:.1f}x over the per-input fold < "
+            f"{entry['floor']}x floor"
+        )
+    print(
+        f"  shared-walk expected_communication (AND_32 hard marginal, "
+        f"{entry['inputs']} inputs): per-input {entry['per_input_s']:.3f}s, "
+        f"shared {entry['shared_s']:.3f}s, speedup {entry['speedup']:.1f}x "
+        f"(floor {entry['floor']}x)  {verdict}"
+    )
+    return failures
+
+
 def measure_message_scaling():
     """Per-message cost, timed in this process: one all-ones ``AND_k``
     run at each of :data:`MESSAGE_SCALING_SIZES` players — ``k`` messages
@@ -452,6 +531,7 @@ def measure():
         "speedup_at_4_workers": serial_s / workers4_s,
     }
     results["kernel_speedups"] = measure_kernel_speedups()
+    results["shared_walk"] = measure_shared_walk()
     results["message_scaling"] = measure_message_scaling()
     results["fabric"] = measure_fabric()
     results["machine"] = {
@@ -544,6 +624,7 @@ def check(baseline, current, tolerance):
             f"{verdict}"
         )
 
+    failures += check_shared_walk(current["shared_walk"])
     failures += check_message_scaling(current["message_scaling"])
 
     fabric = current["fabric"]

@@ -52,6 +52,7 @@ __all__ = [
     "networked_reference",
     "byzantine_reference",
     "legacy_joint_transcript_distribution",
+    "legacy_population_analyses",
     "vectorized_reference",
     "closed_form_cic",
     "chain_rule_information",
@@ -155,6 +156,44 @@ def legacy_joint_transcript_distribution(
             probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
     full_names = tuple(names) + ("transcript",) if names is not None else None
     return JointDistribution(probs, names=full_names, normalize=True)
+
+
+def legacy_population_analyses(
+    protocol: Protocol,
+    input_dist: DiscreteDistribution,
+    inputs: Sequence[Sequence[Any]],
+    evaluate: Callable[[Sequence[Any]], Any],
+    *,
+    bug: Optional[str] = None,
+) -> Tuple[float, int, float]:
+    """``(expected communication, worst-case communication over
+    inputs, distributional error)`` via one DFS per input — the
+    pre-sharing folds of :mod:`repro.core.analysis`, in their float
+    order."""
+    _check_bug(bug, TREE_BUGS)
+    cache: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+
+    def law(x: Sequence[Any]) -> DiscreteDistribution:
+        key = tuple(x)
+        if key not in cache:
+            cache[key] = _legacy_transcript_distribution(protocol, key, bug)
+        return cache[key]
+
+    expected = 0.0
+    error = 0.0
+    for x, p_x in input_dist.items():
+        expected += p_x * sum(
+            p * transcript.bits_written for transcript, p in law(x).items()
+        )
+        correct = evaluate(x)
+        for transcript, p in law(x).items():
+            state = protocol.replay_state(transcript)
+            if protocol.output(state, transcript) != correct:
+                error += p_x * p
+    worst = max(
+        transcript.bits_written for x in inputs for transcript in law(x)
+    )
+    return expected, worst, error
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ GeneratedCase`) and checks one cross-layer agreement property:
                       protocol (prefix-freeness everywhere, replay
                       consistency, board-determined speakers).
 ``batched-vs-legacy`` the batched tree walk is *bit-identical* to an
-                      independent per-input DFS reference.
+                      independent per-input DFS reference, and so are
+                      the population analyses folded over its per-input
+                      laws (expected and worst-case communication,
+                      distributional error).
 ``vectorized-vs-legacy`` the numpy array tree walk and the dict-driven
                       walk produce *bit-identical* leaf tables, and the
                       production joint law equals an independent
@@ -78,7 +81,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.analysis import expected_communication, transcript_joint
+from ..core.analysis import (
+    distributional_error,
+    expected_communication,
+    transcript_joint,
+    worst_case_communication,
+)
 from ..core.tree import batched_joint_transcript_distribution, transcript_distribution
 from ..core.validate import validate_protocol
 from ..information.entropy import entropy, mutual_information
@@ -162,8 +170,15 @@ class DisciplineOracle(Oracle):
         return self._ok(f"{report.states_checked} boards certified")
 
 
+def _input_parity(inputs: Sequence[Any]) -> int:
+    """A stand-in task for the error fold: the parity of the input sum."""
+    return sum(inputs) % 2
+
+
 class BatchedTreeOracle(Oracle):
-    """Batched walk vs independent per-input DFS — bit-identical."""
+    """Batched walk vs independent per-input DFS — bit-identical, both
+    for the joint law and for the population analyses that fold the
+    shared walk's per-input laws."""
 
     name = "batched-vs-legacy"
     bugs = mutations.TREE_BUGS
@@ -185,7 +200,33 @@ class BatchedTreeOracle(Oracle):
         if subject_items != reference_items:
             detail = _first_item_mismatch(subject_items, reference_items)
             return self._fail(f"joint laws are not bit-identical: {detail}")
-        return self._ok(f"{len(subject_items)} joint outcomes bit-identical")
+        analyses = (
+            expected_communication(case.protocol, case.input_dist),
+            worst_case_communication(case.protocol, case.input_tuples),
+            distributional_error(case.protocol, case.input_dist, _input_parity),
+        )
+        reference_analyses = mutations.legacy_population_analyses(
+            case.protocol,
+            case.input_dist,
+            case.input_tuples,
+            _input_parity,
+            bug=bug,
+        )
+        for label, ours, theirs in zip(
+            ("expected_communication", "worst_case_communication",
+             "distributional_error"),
+            analyses,
+            reference_analyses,
+        ):
+            if ours != theirs:
+                return self._fail(
+                    f"{label} is not bit-identical to the per-input fold: "
+                    f"{ours!r} vs {theirs!r}"
+                )
+        return self._ok(
+            f"{len(subject_items)} joint outcomes and 3 population analyses "
+            "bit-identical"
+        )
 
 
 class VectorizedKernelOracle(Oracle):

@@ -14,7 +14,10 @@ Section 3:
   and worst-case communication.
 
 All functions take an input distribution with *enumerable support* and use
-:mod:`repro.core.tree` for exact protocol-tree enumeration.  The identity
+:mod:`repro.core.tree` for exact protocol-tree enumeration: the
+information costs fold the batched joint law, and the population
+analyses (error, communication) fold the per-input laws of one shared
+walk (:func:`repro.core.tree.transcript_distributions`).  The identity
 :math:`IC_\\mu(\\Pi) \\le H(\\Pi) \\le |\\Pi|` (stated after Definition 5)
 is asserted by the test suite using these same functions.
 
@@ -39,11 +42,7 @@ from ..information.entropy import (
 )
 from .model import Protocol, Transcript
 from .tasks import Task
-from .tree import (
-    MessageDistributionMemo,
-    joint_transcript_distribution,
-    transcript_distribution,
-)
+from .tree import joint_transcript_distribution, transcript_distributions
 
 __all__ = [
     "transcript_joint",
@@ -181,15 +180,15 @@ def distributional_error(
     """The exact error probability under ``input_dist`` (and the
     protocol's private coins) — the distributional setting
     :math:`D^\\mu_\\epsilon` of Section 3."""
+    laws = transcript_distributions(protocol, input_dist)
+    # The output is a function of the transcript alone, so one cache
+    # serves every input.
+    outputs: dict = {}
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
         correct = evaluate(inputs)
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        state_cache = {}
-        for transcript, p_transcript in transcripts.items():
-            output = _output_for(protocol, transcript, state_cache)
-            if output != correct:
+        for transcript, p_transcript in laws[tuple(inputs)].items():
+            if _output_for(protocol, transcript, outputs) != correct:
                 total += p_inputs * p_transcript
     return total
 
@@ -207,16 +206,16 @@ def worst_case_error(
     """
     if inputs_iter is None:
         inputs_iter = task.domain()
+    inputs_list = list(inputs_iter)
+    laws = transcript_distributions(protocol, inputs_list)
+    outputs: dict = {}
     worst = 0.0
-    memo = MessageDistributionMemo()
-    for inputs in inputs_iter:
+    for inputs in inputs_list:
         correct = task.evaluate(inputs)
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        state_cache = {}
         error = sum(
             p
-            for transcript, p in transcripts.items()
-            if _output_for(protocol, transcript, state_cache) != correct
+            for transcript, p in laws[tuple(inputs)].items()
+            if _output_for(protocol, transcript, outputs) != correct
         )
         worst = max(worst, error)
     return worst
@@ -230,14 +229,12 @@ def expected_communication(
 ) -> float:
     """The exact expected number of bits written, under ``input_dist`` and
     the protocol's private coins."""
+    laws = transcript_distributions(protocol, input_dist, medium=medium)
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
-        transcripts = transcript_distribution(
-            protocol, inputs, memo=memo, medium=medium
-        )
         total += p_inputs * sum(
-            p * transcript.bits_written for transcript, p in transcripts.items()
+            p * transcript.bits_written
+            for transcript, p in laws[tuple(inputs)].items()
         )
     return total
 
@@ -247,15 +244,12 @@ def worst_case_communication(
 ) -> int:
     """The exact worst-case communication :math:`CC(\\Pi)` over the given
     inputs: the longest transcript reachable with positive probability."""
-    worst = -1
-    memo = MessageDistributionMemo()
-    for inputs in inputs_iter:
-        transcripts = transcript_distribution(protocol, inputs, memo=memo)
-        for transcript in transcripts.support():
-            worst = max(worst, transcript.bits_written)
-    if worst < 0:
+    laws = transcript_distributions(protocol, inputs_iter)
+    if not laws:
         raise ValueError("no inputs supplied")
-    return worst
+    return max(
+        transcript.bits_written for law in laws.values() for transcript in law
+    )
 
 
 def _output_for(protocol: Protocol, transcript: Transcript, cache: dict) -> Any:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..information.distribution import DiscreteDistribution
@@ -64,6 +65,7 @@ from ..coding.bitio import Bits, check_bits
 
 __all__ = [
     "Message",
+    "MessageLog",
     "Transcript",
     "Protocol",
     "ProtocolViolation",
@@ -91,82 +93,142 @@ class Message:
         return len(self.bits)
 
 
-class Transcript:
-    """An immutable, hashable sequence of messages (the board contents).
+class MessageLog:
+    """An immutable, hashable sequence of messages — the storage shared
+    by :class:`Transcript` and the medium
+    :class:`~repro.topology.medium.LinkTranscript`.
 
-    Transcripts serve as dictionary keys in the exact analysis (they are
-    the support of the transcript random variable :math:`\\Pi`), so they
-    are immutable and hash by content.
+    Storage is an append-only message list shared along a chain of
+    :meth:`extend` calls: a log is the first ``len`` entries of its
+    list, and entries below that length are never rewritten.  So a run
+    of ``T`` messages costs ``O(T)`` in all, not the ``O(T^2)`` of
+    copying the board at every append.  The message tuple is built on
+    first use (hashing, equality, :attr:`messages`, slicing) and cached.
+    Two logs are equal when they have the same class and messages.
     """
 
-    __slots__ = ("_messages", "_bits_written", "_hash")
+    __slots__ = ("_buf", "_len", "_messages", "_bits_written", "_hash")
 
-    def __init__(self, messages: Iterable[Message] = ()) -> None:
-        self._messages: Tuple[Message, ...] = tuple(messages)
+    def __init__(self, messages: Iterable[Any] = ()) -> None:
+        self._messages: Optional[Tuple[Any, ...]] = tuple(messages)
+        self._buf: Optional[List[Any]] = None  # built by extend
+        self._len = len(self._messages)
         self._bits_written = sum(len(m) for m in self._messages)
         self._hash: Optional[int] = None
 
+    def __reduce__(self):
+        return (type(self), (self.messages,))
+
     # -- sequence protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self._messages)
+        return self._len
 
-    def __iter__(self) -> Iterator[Message]:
-        return iter(self._messages)
+    def __iter__(self) -> Iterator[Any]:
+        if self._messages is not None:
+            return iter(self._messages)
+        return islice(self._buf, self._len)
 
-    def __getitem__(self, index) -> Message:
-        return self._messages[index]
+    def __getitem__(self, index) -> Any:
+        if self._messages is None and isinstance(index, int):
+            if index < 0:
+                index += self._len
+            if 0 <= index < self._len:
+                return self._buf[index]
+            raise IndexError("transcript index out of range")
+        return self.messages[index]
 
     # -- identity ---------------------------------------------------------
     def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Transcript):
+        if type(other) is not type(self):
             return NotImplemented
-        return self._messages == other._messages
+        return self._len == other._len and self.messages == other.messages
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._messages)
+            self._hash = hash(self.messages)
         return self._hash
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{m.speaker}:{m.bits}" for m in self._messages)
-        return f"Transcript({inner})"
 
     # -- accessors ----------------------------------------------------------
     @property
-    def messages(self) -> Tuple[Message, ...]:
+    def messages(self) -> Tuple[Any, ...]:
         """The messages written so far, in order."""
-        return self._messages
+        messages = self._messages
+        if messages is None:
+            messages = tuple(self._buf)
+            if len(messages) != self._len:
+                messages = messages[: self._len]
+            self._messages = messages
+        return messages
 
     @property
     def bits_written(self) -> int:
-        """Total number of bits on the board — the transcript's cost."""
+        """Total number of bits written — the transcript's cost."""
         return self._bits_written
 
     def bit_string(self) -> Bits:
-        """The raw concatenation of all message bits."""
-        return "".join(m.bits for m in self._messages)
+        """The raw concatenation of all message bits, in order."""
+        return "".join(m.bits for m in self)
 
     def speakers(self) -> List[int]:
         """The sequence of speakers, in speaking order."""
-        return [m.speaker for m in self._messages]
+        return [m.speaker for m in self]
 
-    def extend(self, message: Message) -> "Transcript":
-        """A new transcript with ``message`` appended.
+    def messages_by(self, speaker: int) -> List[Any]:
+        """All messages written by ``speaker``, in order."""
+        return [m for m in self if m.speaker == speaker]
 
-        The bit count is carried forward, so an append costs one tuple
-        copy and no per-message Python loop.  The result equals
-        (``==``, ``hash``, ``bits_written``) the same transcript built
-        through ``Transcript(messages)``.
+    def extend(self, message: Any):
+        """A new log of the same class with ``message`` appended.
+
+        When this log is the longest on its list the message is appended
+        in place and the list shared; otherwise (a sibling was extended
+        first) the prefix is copied.  The bit count is carried forward.
+        The result equals (``==``, ``hash``, ``bits_written``) the same
+        log built from its messages by the constructor.
         """
-        extended = Transcript.__new__(Transcript)
-        extended._messages = self._messages + (message,)
+        n = self._len
+        buf = self._buf
+        if buf is None:
+            buf = self._buf = list(self._messages)
+        if len(buf) == n:
+            buf.append(message)
+            # Another thread may have appended between the length check
+            # and ours; then our message is not at index n and we fork.
+            if buf[n] is not message:
+                buf = buf[:n]
+                buf.append(message)
+        else:
+            buf = buf[:n]
+            buf.append(message)
+        cls = type(self)
+        extended = cls.__new__(cls)
+        extended._buf = buf
+        extended._len = n + 1
+        extended._messages = None
         extended._bits_written = self._bits_written + len(message.bits)
         extended._hash = None
         return extended
 
-    def messages_by(self, player: int) -> List[Message]:
-        """All messages written by ``player``, in order."""
-        return [m for m in self._messages if m.speaker == player]
+
+class Transcript(MessageLog):
+    """An immutable, hashable sequence of :class:`Message` (the board
+    contents).
+
+    Transcripts serve as dictionary keys in the exact analysis (they are
+    the support of the transcript random variable :math:`\\Pi`), so they
+    are immutable and hash by content.  Storage and the sequence protocol
+    come from :class:`MessageLog`.
+    """
+
+    __slots__ = ()
+
+    # An entry of the class's own: perfbench counts constructions per
+    # class by wrapping ``vars(cls)["__init__"]``.
+    __init__ = MessageLog.__init__
+
+    def __repr__(self) -> str:
+        inner = ",".join(f"{m.speaker}:{m.bits}" for m in self)
+        return f"Transcript({inner})"
 
 
 EMPTY_TRANSCRIPT = Transcript()

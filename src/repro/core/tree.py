@@ -20,6 +20,11 @@ Entry points
 ------------
 * :func:`transcript_distribution` — law of the transcript for one fixed
   input tuple.
+* :func:`transcript_distributions` — the law of every input tuple of a
+  population, from one shared walk (the per-input DFS when the
+  population is a single input).  The population analyses of
+  :mod:`repro.core.analysis` (expected/worst-case communication and
+  error) and :func:`reachable_transcripts` fold these laws.
 * :func:`joint_transcript_distribution` — joint law of (scenario
   components..., transcript) for a distribution over scenarios, where a
   scenario is any tuple whose components the caller wants to keep (inputs,
@@ -37,8 +42,8 @@ Entry points
   along a prefix therefore cost one node expansion instead of many — the
   ``tree_nodes_expanded`` counter drops accordingly.
 * :class:`MessageDistributionMemo` — an optional cross-call memo for
-  ``message_distribution`` results, for workloads (error sweeps,
-  communication profiles) that re-enumerate the same protocol many times.
+  ``message_distribution`` results, for workloads that re-enumerate the
+  same protocol many times.
 
 Bit-identity contract
 ---------------------
@@ -54,7 +59,7 @@ suite asserts exact float equality across every shipped protocol class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
@@ -66,6 +71,7 @@ __all__ = [
     "transcript_distribution",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
+    "transcript_distributions",
     "reachable_transcripts",
 ]
 
@@ -84,11 +90,10 @@ class MessageDistributionMemo:
     Protocol hooks are pure functions, so the distribution returned for a
     given ``(state, speaker, player_input, board)`` is reusable across
     enumerations.  The exact analyzer never asks the same question twice
-    *within* one walk (boards are unique along a walk), but sweep-style
-    workloads — error cliffs, expected-communication profiles,
-    reachability maps — re-enumerate one protocol over many input tuples,
-    and inputs that agree on the speaking player's coordinate repeat the
-    identical call at every shared board prefix.
+    *within* one walk (boards are unique along a walk, and a shared walk
+    asks once per distinct speaker input), but callers that re-enumerate
+    one protocol across calls repeat the identical call at every shared
+    board prefix.
 
     The key is ``(protocol, speaker, player_input, state, board)``; the
     protocol object itself is part of the key, so one memo may be shared
@@ -207,6 +212,32 @@ def transcript_distribution(
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     protocol.validate_inputs(inputs)
+    leaves, nodes_expanded, max_depth = _dfs_leaves(
+        protocol, inputs, max_messages=max_messages, memo=memo
+    )
+    if tracer:
+        tracer.event(
+            "tree_enumerated",
+            protocol=type(protocol).__name__,
+            nodes=nodes_expanded,
+            leaves=len(leaves),
+            max_depth=max_depth,
+        )
+    _record_walk(
+        reg, protocol, nodes_expanded, len(leaves), max_depth, memo, memo_before
+    )
+    return DiscreteDistribution(leaves, normalize=True)
+
+
+def _dfs_leaves(
+    protocol: Protocol,
+    inputs: Sequence[Any],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+) -> Tuple[Dict[Transcript, float], int, int]:
+    """The per-input DFS: ``(leaves, nodes_expanded, max_depth)``, with
+    ``leaves`` the unnormalized leaf masses in DFS arrival order."""
     leaves: Dict[Transcript, float] = {}
     nodes_expanded = 0
     max_depth = 0
@@ -253,22 +284,27 @@ def transcript_distribution(
                     prob * p,
                 )
             )
-    if tracer:
-        tracer.event(
-            "tree_enumerated",
-            protocol=type(protocol).__name__,
-            nodes=nodes_expanded,
-            leaves=len(leaves),
-            max_depth=max_depth,
-        )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(len(leaves), protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(len(leaves), protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
-    return DiscreteDistribution(leaves, normalize=True)
+    return leaves, nodes_expanded, max_depth
+
+
+def _record_walk(
+    reg,
+    protocol: Any,
+    nodes_expanded: int,
+    leaf_count: int,
+    max_depth: int,
+    memo: Optional[MessageDistributionMemo],
+    memo_before: Tuple[int, int],
+) -> None:
+    """Feed one walk's size into the registry's tree counters."""
+    if reg is None:
+        return
+    name = type(protocol).__name__
+    reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
+    reg.counter("tree_leaves").inc(leaf_count, protocol=name)
+    reg.histogram("tree_depth").observe(max_depth, protocol=name)
+    reg.histogram("tree_support").observe(leaf_count, protocol=name)
+    _flush_memo_counters(reg, memo, memo_before, name)
 
 
 def batched_joint_transcript_distribution(
@@ -339,40 +375,181 @@ def batched_joint_transcript_distribution(
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
 
-    # ------------------------------------------------------------------
     # Pass 1: collect scenarios and the distinct input tuples behind them
     # (distinct scenarios may share an input tuple, e.g. different values
     # of the auxiliary variable D for the same X).
-    # ------------------------------------------------------------------
+    scenario_rows, input_keys = _scenario_rows(protocol, scenarios, inputs_of)
+    # Passes 2-3: every distinct input's transcript law from one walk.
+    transcripts_by_key, nodes_expanded, union_leaf_count, max_depth = (
+        _laws_by_input(protocol, input_keys, max_messages=max_messages, memo=memo)
+    )
+    return _assemble_joint(
+        protocol,
+        scenario_rows,
+        input_keys,
+        transcripts_by_key,
+        nodes_expanded,
+        union_leaf_count,
+        max_depth,
+        names=names,
+        tracer=tracer,
+        reg=reg,
+        memo=memo,
+        memo_before=memo_before,
+    )
+
+
+def transcript_distributions(
+    protocol: Protocol,
+    inputs: Iterable[Sequence[Any]],
+    *,
+    max_messages: int = DEFAULT_MAX_MESSAGES,
+    tracer: Optional[Tracer] = None,
+    medium: Optional[Any] = None,
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """The exact transcript law of every input tuple in a population,
+    from one shared walk of the protocol tree.
+
+    Returns ``{input tuple: law}`` in first-seen input order (duplicates
+    are enumerated once); each law is bit-identical to
+    :func:`transcript_distribution` on that input.  This is the walk the
+    population analyses of :mod:`repro.core.analysis` fold over.
+
+    The engine is picked from the population: a single distinct input
+    takes the per-input DFS (the array walk's set-up costs more than it
+    shares there); larger populations take the array walk of
+    :mod:`repro.perf.kernels`, or the dict walk when the input
+    coordinates cannot be dense-coded.  ``medium`` delegates to
+    :func:`repro.topology.tree.medium_transcript_distributions` (laws
+    over :class:`~repro.topology.medium.LinkTranscript`).
+
+    Observability: one ``laws_enumerated`` trace event per call plus the
+    same ``tree_*`` counters and histograms as the other entry points.
+    """
+    if medium is not None:
+        from ..topology.protocol import as_medium_protocol
+        from ..topology.tree import medium_transcript_distributions
+
+        return medium_transcript_distributions(
+            as_medium_protocol(protocol, medium),
+            medium,
+            inputs,
+            max_messages=max_messages,
+            tracer=tracer,
+        )
+    return _population_laws(
+        protocol,
+        inputs,
+        lambda keys: _laws_by_input(
+            protocol, keys, max_messages=max_messages, memo=None
+        ),
+        tracer=tracer,
+    )
+
+
+def _population_laws(
+    protocol: Any,
+    inputs: Iterable[Sequence[Any]],
+    laws_by_input: Callable[
+        [List[Tuple[Any, ...]]],
+        Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int],
+    ],
+    *,
+    tracer: Optional[Tracer],
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """The body of both population entry points (board and medium):
+    distinct inputs, one ``laws_by_input`` walk, the observability tail."""
+    if tracer is None:
+        tracer = get_tracer()
+    reg = REGISTRY if REGISTRY.enabled else None
+    input_keys = _distinct_inputs(protocol, inputs)
+    if not input_keys:
+        return {}
+    laws, nodes_expanded, union_leaf_count, max_depth = laws_by_input(
+        input_keys
+    )
+    if tracer:
+        tracer.event(
+            "laws_enumerated",
+            protocol=type(protocol).__name__,
+            distinct_inputs=len(input_keys),
+            nodes=nodes_expanded,
+            leaves=union_leaf_count,
+            max_depth=max_depth,
+        )
+    _record_walk(
+        reg, protocol, nodes_expanded, union_leaf_count, max_depth, None,
+        (0, 0),
+    )
+    return laws
+
+
+def _distinct_inputs(
+    protocol: Any, inputs: Iterable[Sequence[Any]]
+) -> List[Tuple[Any, ...]]:
+    """The distinct input tuples of ``inputs`` in first-seen order, each
+    validated once."""
+    input_keys: Dict[Tuple[Any, ...], None] = {}
+    for inputs_ in inputs:
+        key = tuple(inputs_)
+        if key not in input_keys:
+            input_keys[key] = None
+            protocol.validate_inputs(key)
+    return list(input_keys)
+
+
+def _scenario_rows(
+    protocol: Any,
+    scenarios: DiscreteDistribution,
+    inputs_of: Callable[[Any], Sequence[Any]],
+) -> Tuple[
+    List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]], List[Tuple[Any, ...]]
+]:
+    """Pass 1 of a joint law: ``(scenario, mass, input key)`` rows in
+    scenario order, and the distinct input keys in first-seen order
+    (each validated once)."""
     scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]] = []
-    input_keys: List[Tuple[Any, ...]] = []
-    seen_keys: Dict[Tuple[Any, ...], None] = {}
     for scenario, p_scenario in scenarios.items():
         if not isinstance(scenario, tuple):
             raise TypeError(
                 f"scenario outcomes must be tuples, got {scenario!r}"
             )
-        key = tuple(inputs_of(scenario))
-        scenario_rows.append((scenario, p_scenario, key))
-        if key not in seen_keys:
-            seen_keys[key] = None
-            input_keys.append(key)
-            protocol.validate_inputs(key)
+        scenario_rows.append((scenario, p_scenario, tuple(inputs_of(scenario))))
+    input_keys = _distinct_inputs(protocol, (row[2] for row in scenario_rows))
+    return scenario_rows, input_keys
 
-    # ------------------------------------------------------------------
-    # Pass 2: one DFS over the *union* protocol tree.  Each node carries
-    # the population of input tuples that reach its board.  The array
-    # walk (repro.perf.kernels) carries the population as index /
-    # probability / index-path arrays and partitions it by group-by;
-    # when the input coordinates cannot be dense-coded, the dict walk
-    # below carries a mapping
-    # input tuple -> (probability of this path under that input,
-    #                 child-index path in that input's own enumeration).
-    # Either way the index path lets us replay, per input, the exact leaf
-    # order the per-input DFS produces (children are pushed in message
-    # order and popped LIFO, so leaves arrive in descending lexicographic
-    # index order) — which pins the normalization sum bit-for-bit.
-    # ------------------------------------------------------------------
+
+def _laws_by_input(
+    protocol: Protocol,
+    input_keys: List[Tuple[Any, ...]],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
+    """Each distinct input's transcript law:
+    ``(laws, nodes_expanded, union_leaves, max_depth)``.
+
+    One input takes the per-input DFS.  Larger populations take one DFS
+    over the *union* protocol tree, each node carrying the population of
+    input tuples that reach its board.  The array walk
+    (repro.perf.kernels) carries the population as index / probability /
+    index-path arrays and partitions it by group-by; when the input
+    coordinates cannot be dense-coded, the dict walk carries a mapping
+    input tuple -> (probability of this path under that input,
+    child-index path in that input's own enumeration).  Either way the
+    index path replays, per input, the exact leaf order the per-input
+    DFS produces (children are pushed in message order and popped LIFO,
+    so leaves arrive in descending lexicographic index order) — which
+    pins the normalization sum bit-for-bit.
+    """
+    if len(input_keys) == 1:
+        (key,) = input_keys
+        leaves, nodes_expanded, max_depth = _dfs_leaves(
+            protocol, key, max_messages=max_messages, memo=memo
+        )
+        law = DiscreteDistribution(leaves, normalize=True)
+        return {key: law}, nodes_expanded, len(leaves), max_depth
+
     from ..perf import kernels
 
     try:
@@ -393,39 +570,40 @@ def batched_joint_transcript_distribution(
             )
         )
 
-    # ------------------------------------------------------------------
-    # Pass 3: each input's transcript law from its ordered leaf rows
-    # (descending lexicographic index path — either engine delivers this
-    # order), accumulating and normalizing exactly as the per-input path
-    # does, then scenario mass in scenario/transcript iteration order.
-    # ------------------------------------------------------------------
+    laws = _laws_from_leaf_table(input_keys, leaf_table)
+    return laws, nodes_expanded, union_leaf_count, max_depth
+
+
+def _laws_from_leaf_table(
+    input_keys: Sequence[Tuple[Any, ...]],
+    leaf_table: Tuple[List[int], List[Any], List[float]],
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """Each input's law from its ordered leaf rows (descending
+    lexicographic index path — every shared walk delivers this order),
+    accumulated and normalized exactly as the per-input DFS does.
+
+    An input with one leaf (every input of a deterministic protocol)
+    skips the dict and the generic constructor; its mass is the same
+    ``p * (1.0 / p)``.
+    """
     counts, leaf_boards, leaf_probs = leaf_table
-    transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+    single = DiscreteDistribution._normalized_point
+    laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     pos = 0
     for key, count in zip(input_keys, counts):
-        leaves: Dict[Transcript, float] = {}
+        if count == 1 and leaf_probs[pos] > 0.0:
+            laws[key] = single(leaf_boards[pos], leaf_probs[pos])
+            pos += 1
+            continue
+        leaves: Dict[Any, float] = {}
         for offset in range(pos, pos + count):
             leaf_board = leaf_boards[offset]
             leaves[leaf_board] = (
                 leaves.get(leaf_board, 0.0) + leaf_probs[offset]
             )
         pos += count
-        transcripts_by_key[key] = DiscreteDistribution(leaves, normalize=True)
-
-    return _assemble_joint(
-        protocol,
-        scenario_rows,
-        input_keys,
-        transcripts_by_key,
-        nodes_expanded,
-        union_leaf_count,
-        max_depth,
-        names=names,
-        tracer=tracer,
-        reg=reg,
-        memo=memo,
-        memo_before=memo_before,
-    )
+        laws[key] = DiscreteDistribution(leaves, normalize=True)
+    return laws
 
 
 def _legacy_walk_sorted_leaves(
@@ -575,13 +753,10 @@ def _assemble_joint(
             max_depth=max_depth,
             batched=True,
         )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(union_leaf_count, protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(union_leaf_count, protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
+    _record_walk(
+        reg, protocol, nodes_expanded, union_leaf_count, max_depth, memo,
+        memo_before,
+    )
     full_names = None
     if names is not None:
         full_names = tuple(names) + ("transcript",)
@@ -624,7 +799,6 @@ def reachable_transcripts(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
 ) -> Dict[Transcript, List[Sequence[Any]]]:
     """All transcripts reachable from any of the given inputs, mapped to
     the inputs that can produce them.
@@ -633,26 +807,17 @@ def reachable_transcripts(
     protocol induces (e.g. to compute :math:`\\pi_2` over the two-zero
     input class) and by model-discipline tests.
 
-    Duplicate input tuples are enumerated once (the per-input-tuple cache
-    :func:`joint_transcript_distribution` uses); the returned mapping
+    The laws come from one :func:`transcript_distributions` walk, so
+    duplicate input tuples are enumerated once; the returned mapping
     still lists one entry per occurrence, preserving the historical
-    output shape.  ``tracer``/``memo`` pass through to the per-input
-    enumeration.
+    output shape.  ``tracer`` passes through to that walk.
     """
+    keys = [tuple(inputs) for inputs in input_tuples]
+    laws = transcript_distributions(
+        protocol, keys, max_messages=max_messages, tracer=tracer
+    )
     reachable: Dict[Transcript, List[Sequence[Any]]] = {}
-    cache: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
-    for inputs in input_tuples:
-        key = tuple(inputs)
-        dist = cache.get(key)
-        if dist is None:
-            dist = transcript_distribution(
-                protocol,
-                inputs,
-                max_messages=max_messages,
-                tracer=tracer,
-                memo=memo,
-            )
-            cache[key] = dist
-        for transcript in dist.support():
+    for key in keys:
+        for transcript in laws[key]:
             reachable.setdefault(transcript, []).append(key)
     return reachable

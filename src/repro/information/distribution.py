@@ -43,6 +43,7 @@ from typing import (
 )
 
 __all__ = [
+    "BIT_POINT_MASSES",
     "DiscreteDistribution",
     "JointDistribution",
     "Outcome",
@@ -134,6 +135,27 @@ class DiscreteDistribution:
     def point_mass(cls, outcome: Outcome) -> "DiscreteDistribution":
         """The distribution placing all mass on ``outcome``."""
         return cls({outcome: 1.0})
+
+    @classmethod
+    def _normalized_point(
+        cls, outcome: Outcome, weight: float
+    ) -> "DiscreteDistribution":
+        """``cls({outcome: weight}, normalize=True)`` for a positive float
+        ``weight``, without the generic constructor's validation loop.
+
+        The stored mass is the constructor's own ``weight * (1.0 /
+        weight)``, so the result is bit-identical; exact tree walks use
+        it for the single-leaf laws of deterministic protocols (saving
+        ~5% of perfbench ``exact-info`` wall time on a 2-vCPU x86-64
+        host).  It writes every slot
+        ``__init__`` writes; a test checks each slot against the
+        constructor, so a new slot cannot be left unset silently.
+        """
+        dist = cls.__new__(cls)
+        dist._probs = {outcome: weight * (1.0 / weight)}
+        dist._entropy = None
+        dist._support = None
+        return dist
 
     @classmethod
     def bernoulli(cls, p: float) -> "DiscreteDistribution":
@@ -325,6 +347,19 @@ class DiscreteDistribution:
         )
         suffix = ", ..." if len(self._probs) > 4 else ""
         return f"DiscreteDistribution({{{preview}{suffix}}})"
+
+
+#: The one-bit point masses ``(point_mass("0"), point_mass("1"))``,
+#: shared by every protocol hook that writes a single deterministic bit:
+#: ``BIT_POINT_MASSES[1 if bit else 0]`` instead of a new law per tree
+#: node.  Distributions are immutable, so sharing is safe.
+#: ``point_mass`` itself is not memoized: ``1 == 1.0 == True`` hash
+#: alike, so an outcome-keyed cache would hand back a law whose outcome
+#: has the wrong type.
+BIT_POINT_MASSES: Tuple[DiscreteDistribution, DiscreteDistribution] = (
+    DiscreteDistribution.point_mass("0"),
+    DiscreteDistribution.point_mass("1"),
+)
 
 
 class JointDistribution:

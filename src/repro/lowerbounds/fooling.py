@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.analysis import distributional_error
 from ..core.model import Message, Protocol, Transcript
 from ..core.runner import run_protocol
@@ -191,7 +191,7 @@ class TruncatedAndProtocol(Protocol):
         bit = int(player_input)
         if bit not in (0, 1):
             raise ValueError(f"AND inputs must be bits, got {player_input!r}")
-        return DiscreteDistribution.point_mass("1" if bit else "0")
+        return BIT_POINT_MASSES[1 if bit else 0]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, saw_zero = state

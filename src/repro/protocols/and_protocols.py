@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.model import Message, Protocol, Transcript
 
 __all__ = [
@@ -71,7 +71,7 @@ class SequentialAndProtocol(Protocol):
         bit = int(player_input)
         if bit not in (0, 1):
             raise ValueError(f"AND inputs must be bits, got {player_input!r}")
-        return DiscreteDistribution.point_mass("1" if bit else "0")
+        return BIT_POINT_MASSES[1 if bit else 0]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, saw_zero = state
@@ -107,7 +107,7 @@ class FullBroadcastAndProtocol(Protocol):
         bit = int(player_input)
         if bit not in (0, 1):
             raise ValueError(f"AND inputs must be bits, got {player_input!r}")
-        return DiscreteDistribution.point_mass("1" if bit else "0")
+        return BIT_POINT_MASSES[1 if bit else 0]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, all_ones = state

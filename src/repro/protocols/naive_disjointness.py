@@ -27,7 +27,7 @@ from typing import Any, Optional
 from ..coding.bitops import bits_of
 from ..coding.bitio import BitReader, BitWriter
 from ..coding.varint import decode_elias_gamma, encode_elias_gamma
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 
 __all__ = ["NaiveDisjointnessProtocol"]
@@ -92,7 +92,7 @@ class NaiveDisjointnessProtocol(Protocol):
         full = (1 << self._n) - 1
         new_zeros = (~mask) & full & ~covered
         if new_zeros == 0:
-            return DiscreteDistribution.point_mass("0")
+            return BIT_POINT_MASSES[0]
         coordinates = bits_of(new_zeros)
         writer = BitWriter()
         writer.write_flag(True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, List, Sequence, Tuple
 
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.analysis import (
     distributional_error,
     expected_communication,
@@ -188,7 +188,7 @@ def _equality_component(n: int, hashes: Sequence[int]) -> Protocol:
             return DiscreteDistribution.point_mass(inner_products(mask))
         alice_hashes = board[0].bits
         match = alice_hashes == inner_products(mask)
-        return DiscreteDistribution.point_mass("1" if match else "0")
+        return BIT_POINT_MASSES[1 if match else 0]
 
     def output(board: Transcript):
         return 1 if board[1].bits == "1" else 0

@@ -33,7 +33,7 @@ from ..coding.combinatorial import (
     subset_unrank,
 )
 from ..coding.varint import decode_elias_gamma, encode_elias_gamma
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.model import Message, Protocol, Transcript
 
 __all__ = [
@@ -76,7 +76,7 @@ class TwoPartyDisjointnessProtocol(Protocol):
             return DiscreteDistribution.point_mass(format(mask, f"0{self._n}b"))
         alice_mask = int(board[0].bits, 2)
         disjoint = (alice_mask & int(player_input)) == 0
-        return DiscreteDistribution.point_mass("1" if disjoint else "0")
+        return BIT_POINT_MASSES[1 if disjoint else 0]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, answer = state
@@ -148,7 +148,7 @@ class TwoPartySparseIntersectionProtocol(Protocol):
             return DiscreteDistribution.point_mass(writer.getvalue())
         alice_elements = self._decode_alice(board[0].bits)
         if not alice_elements:
-            return DiscreteDistribution.point_mass("0")
+            return BIT_POINT_MASSES[0]
         writer = BitWriter()
         for element in alice_elements:
             writer.write_flag(bool(mask >> element & 1))

@@ -30,7 +30,7 @@ from typing import Any, Optional
 
 from ..coding.bitops import bits_of
 from ..coding.bitio import BitReader
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 from .model import StreamingAlgorithm
 
@@ -96,7 +96,7 @@ class StreamingSimulationProtocol(Protocol):
                 self._algorithm.encode_state(stream_state)
             )
         indicator = bool(self._algorithm.output(stream_state))
-        return DiscreteDistribution.point_mass("1" if indicator else "0")
+        return BIT_POINT_MASSES[1 if indicator else 0]
 
     def output(self, state: Any, board: Transcript) -> int:
         _count, _stream_state, answer = state

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..core.tree import MessageDistributionMemo
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..information.entropy import (
     conditional_mutual_information,
@@ -43,7 +42,7 @@ from .medium import LinkTranscript, Medium
 from .protocol import MediumProtocol
 from .tree import (
     medium_joint_transcript_distribution,
-    medium_transcript_distribution,
+    medium_transcript_distributions,
 )
 
 __all__ = [
@@ -132,14 +131,12 @@ def expected_medium_communication(
 ) -> float:
     """The exact expected total bits written, under ``input_dist`` and
     the protocol's private coins."""
+    laws = medium_transcript_distributions(protocol, medium, input_dist)
     total = 0.0
-    memo = MessageDistributionMemo()
     for inputs, p_inputs in input_dist.items():
-        transcripts = medium_transcript_distribution(
-            protocol, medium, inputs, memo=memo
-        )
         total += p_inputs * sum(
-            p * transcript.bits_written for transcript, p in transcripts.items()
+            p * transcript.bits_written
+            for transcript, p in laws[tuple(inputs)].items()
         )
     return total
 
@@ -156,12 +153,9 @@ def per_link_communication(
     :func:`expected_medium_communication` (up to float fold order).
     """
     totals: Dict[Any, float] = {link: 0.0 for link in medium.links(protocol.num_players)}
-    memo = MessageDistributionMemo()
+    laws = medium_transcript_distributions(protocol, medium, input_dist)
     for inputs, p_inputs in input_dist.items():
-        transcripts = medium_transcript_distribution(
-            protocol, medium, inputs, memo=memo
-        )
-        for transcript, p in transcripts.items():
+        for transcript, p in laws[tuple(inputs)].items():
             for link, bits in transcript.bits_by_link().items():
                 totals[link] = totals.get(link, 0.0) + p_inputs * p * bits
     return totals

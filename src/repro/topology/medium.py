@@ -49,9 +49,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..coding.bitio import Bits, check_bits
+from ..core.model import MessageLog
 from ..obs.metrics import REGISTRY
 
 __all__ = [
@@ -164,87 +165,36 @@ class LinkMessage:
         return len(self.bits)
 
 
-class LinkTranscript:
+class LinkTranscript(MessageLog):
     """An immutable, hashable sequence of link messages.
 
     The medium-generalized analogue of :class:`repro.core.model.
     Transcript`: transcripts are the support of the transcript random
     variable in the exact analysis, so they are immutable and hash by
-    content.  Per-link projections (:meth:`on_link`, :meth:`bits_by_link`)
-    carry the cross-model bit accounting.
+    content.  Storage, :meth:`extend` and the sequence protocol come from
+    :class:`~repro.core.model.MessageLog`.  Per-link projections
+    (:meth:`on_link`, :meth:`bits_by_link`) carry the cross-model bit
+    accounting.
     """
 
-    __slots__ = ("_messages", "_bits_written", "_hash")
+    __slots__ = ()
 
-    def __init__(self, messages: Iterable[LinkMessage] = ()) -> None:
-        self._messages: Tuple[LinkMessage, ...] = tuple(messages)
-        self._bits_written = sum(len(m) for m in self._messages)
-        self._hash: Optional[int] = None
-
-    # -- sequence protocol ------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __iter__(self) -> Iterator[LinkMessage]:
-        return iter(self._messages)
-
-    def __getitem__(self, index) -> LinkMessage:
-        return self._messages[index]
-
-    # -- identity ---------------------------------------------------------
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, LinkTranscript):
-            return NotImplemented
-        return self._messages == other._messages
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._messages)
-        return self._hash
+    # An entry of the class's own: perfbench counts constructions per
+    # class by wrapping ``vars(cls)["__init__"]``.
+    __init__ = MessageLog.__init__
 
     def __repr__(self) -> str:
-        inner = ",".join(
-            f"{m.speaker}@{m.link!r}:{m.bits}" for m in self._messages
-        )
+        inner = ",".join(f"{m.speaker}@{m.link!r}:{m.bits}" for m in self)
         return f"LinkTranscript({inner})"
-
-    # -- accessors --------------------------------------------------------
-    @property
-    def messages(self) -> Tuple[LinkMessage, ...]:
-        return self._messages
-
-    @property
-    def bits_written(self) -> int:
-        """Total bits across all links — the transcript's cost."""
-        return self._bits_written
-
-    def bit_string(self) -> Bits:
-        """The raw concatenation of all message bits, in global order."""
-        return "".join(m.bits for m in self._messages)
-
-    def speakers(self) -> List[int]:
-        return [m.speaker for m in self._messages]
-
-    def extend(self, message: LinkMessage) -> "LinkTranscript":
-        """A new transcript with ``message`` appended, carrying the bit
-        count forward (see :meth:`repro.core.model.Transcript.extend`)."""
-        extended = LinkTranscript.__new__(LinkTranscript)
-        extended._messages = self._messages + (message,)
-        extended._bits_written = self._bits_written + len(message.bits)
-        extended._hash = None
-        return extended
-
-    def messages_by(self, node: int) -> List[LinkMessage]:
-        return [m for m in self._messages if m.speaker == node]
 
     def on_link(self, link: Any) -> List[LinkMessage]:
         """All messages carried by ``link``, in order."""
-        return [m for m in self._messages if m.link == link]
+        return [m for m in self if m.link == link]
 
     def bits_by_link(self) -> Dict[Any, int]:
         """Bits written per link — the per-link communication accounting."""
         totals: Dict[Any, int] = {}
-        for m in self._messages:
+        for m in self:
             totals[m.link] = totals.get(m.link, 0) + len(m)
         return totals
 
@@ -255,7 +205,7 @@ class LinkTranscript:
         from ..core.model import Message, Transcript
 
         return Transcript(
-            Message(speaker=m.speaker, bits=m.bits) for m in self._messages
+            Message(speaker=m.speaker, bits=m.bits) for m in self
         )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from ..information.distribution import DiscreteDistribution
+from ..information.distribution import BIT_POINT_MASSES, DiscreteDistribution
 from .medium import Link, LinkMessage, LinkTranscript
 from .protocol import MediumProtocol
 
@@ -230,7 +230,7 @@ class CoordinatorAndProtocol(MediumProtocol):
         speaker_input: Any,
         transcript: LinkTranscript,
     ) -> DiscreteDistribution:
-        return DiscreteDistribution.point_mass("1" if speaker_input else "0")
+        return BIT_POINT_MASSES[1 if speaker_input else 0]
 
     def output(self, state: Any, transcript: LinkTranscript) -> Any:
         count, saw_zero = state

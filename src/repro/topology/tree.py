@@ -32,13 +32,17 @@ transcript)`` and :class:`LinkTranscript` is hashable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.model import ProtocolViolation
 from ..core.tree import (
     DEFAULT_MAX_MESSAGES,
     MessageDistributionMemo,
-    _flush_memo_counters,
+    _assemble_joint,
+    _laws_from_leaf_table,
+    _population_laws,
+    _record_walk,
+    _scenario_rows,
 )
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
@@ -48,6 +52,7 @@ from .protocol import MediumProtocol
 
 __all__ = [
     "medium_transcript_distribution",
+    "medium_transcript_distributions",
     "medium_joint_transcript_distribution",
 ]
 
@@ -76,6 +81,33 @@ def medium_transcript_distribution(
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     protocol.validate_inputs(inputs)
+    leaves, nodes_expanded, max_depth = _medium_dfs_leaves(
+        protocol, medium, inputs, max_messages=max_messages, memo=memo
+    )
+    if tracer:
+        tracer.event(
+            "tree_enumerated",
+            protocol=type(protocol).__name__,
+            nodes=nodes_expanded,
+            leaves=len(leaves),
+            max_depth=max_depth,
+        )
+    _record_walk(
+        reg, protocol, nodes_expanded, len(leaves), max_depth, memo, memo_before
+    )
+    return DiscreteDistribution(leaves, normalize=True)
+
+
+def _medium_dfs_leaves(
+    protocol: MediumProtocol,
+    medium: Medium,
+    inputs: Sequence[Any],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+) -> Tuple[Dict[LinkTranscript, float], int, int]:
+    """The per-input DFS: ``(leaves, nodes_expanded, max_depth)``, with
+    ``leaves`` the unnormalized leaf masses in DFS arrival order."""
     k = protocol.num_players
     leaves: Dict[LinkTranscript, float] = {}
     nodes_expanded = 0
@@ -121,22 +153,35 @@ def medium_transcript_distribution(
                     prob * p,
                 )
             )
-    if tracer:
-        tracer.event(
-            "tree_enumerated",
-            protocol=type(protocol).__name__,
-            nodes=nodes_expanded,
-            leaves=len(leaves),
-            max_depth=max_depth,
-        )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(len(leaves), protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(len(leaves), protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
-    return DiscreteDistribution(leaves, normalize=True)
+    return leaves, nodes_expanded, max_depth
+
+
+def medium_transcript_distributions(
+    protocol: MediumProtocol,
+    medium: Medium,
+    inputs: Iterable[Sequence[Any]],
+    *,
+    max_messages: int = DEFAULT_MAX_MESSAGES,
+    tracer: Optional[Tracer] = None,
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """The exact link-transcript law of every input tuple in a
+    population, from one shared walk of the protocol tree.
+
+    The medium analogue of :func:`repro.core.tree.
+    transcript_distributions`: ``{input tuple: law}`` in first-seen
+    order, each law bit-identical to
+    :func:`medium_transcript_distribution` on that input.  A single
+    distinct input takes the per-input DFS, a larger population the
+    shared walk of :func:`medium_joint_transcript_distribution`.
+    """
+    return _population_laws(
+        protocol,
+        inputs,
+        lambda keys: _medium_laws_by_input(
+            protocol, medium, keys, max_messages=max_messages, memo=None
+        ),
+        tracer=tracer,
+    )
 
 
 def medium_joint_transcript_distribution(
@@ -154,14 +199,9 @@ def medium_joint_transcript_distribution(
     on a medium, computed with one shared walk of the protocol tree.
 
     The medium analogue of :func:`repro.core.tree.
-    batched_joint_transcript_distribution` (dict engine), with the
-    speaker partition extended to auxiliary nodes: when the scheduled
-    speaker is a player the population splits by that player's input
-    coordinate; when it is an input-less node (coordinator, relay) all
-    input tuples share the one message law and no split occurs.  Per
-    input the multiplications, leaf order (descending lexicographic
-    child-index path), and normalization fold match the per-input walk
-    exactly.
+    batched_joint_transcript_distribution`: the scenario rows, the
+    per-input laws of :func:`medium_transcript_distributions`' walk, and
+    the core scenario fold and observability tail.
     """
     if inputs_of is None:
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
@@ -169,23 +209,57 @@ def medium_joint_transcript_distribution(
         tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
     memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
+    scenario_rows, input_keys = _scenario_rows(protocol, scenarios, inputs_of)
+    transcripts_by_key, nodes_expanded, union_leaf_count, max_depth = (
+        _medium_laws_by_input(
+            protocol, medium, input_keys, max_messages=max_messages, memo=memo
+        )
+    )
+    return _assemble_joint(
+        protocol,
+        scenario_rows,
+        input_keys,
+        transcripts_by_key,
+        nodes_expanded,
+        union_leaf_count,
+        max_depth,
+        names=names,
+        tracer=tracer,
+        reg=reg,
+        memo=memo,
+        memo_before=memo_before,
+    )
+
+
+def _medium_laws_by_input(
+    protocol: MediumProtocol,
+    medium: Medium,
+    input_keys: List[Tuple[Any, ...]],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
+    """Each distinct input's link-transcript law:
+    ``(laws, nodes_expanded, union_leaves, max_depth)``.
+
+    One input takes the per-input DFS.  Larger populations share one
+    dict walk (no vectorized kernel backs the media), with the speaker
+    partition extended to auxiliary nodes: when the scheduled speaker is
+    a player the population splits by that player's input coordinate;
+    when it is an input-less node (coordinator, relay) all input tuples
+    share the one message law and no split occurs.  Per input the
+    multiplications, leaf order (descending lexicographic child-index
+    path), and normalization fold match the per-input walk exactly.
+    """
+    if len(input_keys) == 1:
+        (key,) = input_keys
+        leaves, nodes_expanded, max_depth = _medium_dfs_leaves(
+            protocol, medium, key, max_messages=max_messages, memo=memo
+        )
+        law = DiscreteDistribution(leaves, normalize=True)
+        return {key: law}, nodes_expanded, len(leaves), max_depth
+
     k = protocol.num_players
-
-    scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]] = []
-    input_keys: List[Tuple[Any, ...]] = []
-    seen_keys: Dict[Tuple[Any, ...], None] = {}
-    for scenario, p_scenario in scenarios.items():
-        if not isinstance(scenario, tuple):
-            raise TypeError(
-                f"scenario outcomes must be tuples, got {scenario!r}"
-            )
-        key = tuple(inputs_of(scenario))
-        scenario_rows.append((scenario, p_scenario, key))
-        if key not in seen_keys:
-            seen_keys[key] = None
-            input_keys.append(key)
-            protocol.validate_inputs(key)
-
     Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
     leaves_by_key: Dict[
         Tuple[Any, ...], List[Tuple[Tuple[int, ...], LinkTranscript, float]]
@@ -260,40 +334,17 @@ def medium_joint_transcript_distribution(
                 )
             )
 
-    transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
+    # Each input's leaves in its per-input DFS order (descending
+    # lexicographic index path), flattened into the core leaf table.
+    counts: List[int] = []
+    boards: List[LinkTranscript] = []
+    probs: List[float] = []
     for key in input_keys:
         entries = leaves_by_key[key]
         entries.sort(key=lambda entry: entry[0], reverse=True)
-        leaves: Dict[LinkTranscript, float] = {}
+        counts.append(len(entries))
         for _path, leaf_transcript, prob in entries:
-            leaves[leaf_transcript] = leaves.get(leaf_transcript, 0.0) + prob
-        transcripts_by_key[key] = DiscreteDistribution(leaves, normalize=True)
-
-    probs: Dict[Tuple[Any, ...], float] = {}
-    for scenario, p_scenario, key in scenario_rows:
-        for transcript, p_transcript in transcripts_by_key[key].items():
-            outcome = scenario + (transcript,)
-            probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
-
-    if tracer:
-        tracer.event(
-            "joint_enumerated",
-            protocol=type(protocol).__name__,
-            scenarios=len(scenario_rows),
-            distinct_inputs=len(input_keys),
-            outcomes=len(probs),
-            nodes=nodes_expanded,
-            max_depth=max_depth,
-            batched=True,
-        )
-    if reg is not None:
-        name = type(protocol).__name__
-        reg.counter("tree_nodes_expanded").inc(nodes_expanded, protocol=name)
-        reg.counter("tree_leaves").inc(len(union_leaves), protocol=name)
-        reg.histogram("tree_depth").observe(max_depth, protocol=name)
-        reg.histogram("tree_support").observe(len(union_leaves), protocol=name)
-        _flush_memo_counters(reg, memo, memo_before, name)
-    full_names = None
-    if names is not None:
-        full_names = tuple(names) + ("transcript",)
-    return JointDistribution(probs, names=full_names, normalize=True)
+            boards.append(leaf_transcript)
+            probs.append(prob)
+    laws = _laws_from_leaf_table(input_keys, (counts, boards, probs))
+    return laws, nodes_expanded, len(union_leaves), max_depth

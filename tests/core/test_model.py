@@ -1,5 +1,8 @@
 """Tests for the blackboard model primitives (Section 3 semantics)."""
 
+import pickle
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,86 @@ class TestExtendMatchesConstructor:
         assert hash(parent) == before
         assert hash(child) == hash(Transcript(child.messages))
         assert type(child) is Transcript
+
+
+def assert_same_as_built(log, expected, cls):
+    """``log`` behaves exactly like ``cls(expected)`` in every accessor."""
+    built = cls(expected)
+    assert len(log) == len(expected)
+    assert list(log) == expected
+    assert log.messages == tuple(expected) == built.messages
+    assert log == built and hash(log) == hash(built)
+    assert log.bits_written == built.bits_written
+    assert log.bit_string() == built.bit_string()
+    assert log.speakers() == built.speakers()
+    assert log.messages_by(0) == built.messages_by(0)
+    for index in range(-len(expected), len(expected)):
+        assert log[index] is expected[index]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            log[index]
+    assert log[1:] == built[1:] == tuple(expected[1:])
+    assert pickle.loads(pickle.dumps(log)) == built
+
+
+class TestSharedStorage:
+    """Extensions share one append-only list; every transcript must still
+    read as exactly its own messages, whatever order siblings grow in."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10**6), MESSAGES), max_size=40))
+    def test_any_extension_order(self, steps):
+        pool = [(Transcript(), [])]
+        for pick, message in steps:
+            parent, parent_messages = pool[pick % len(pool)]
+            pool.append((parent.extend(message), parent_messages + [message]))
+        for transcript, expected in pool:
+            assert_same_as_built(transcript, expected, Transcript)
+
+    def test_chain_appends_in_place(self):
+        board = Transcript()
+        chain = [board]
+        for i in range(50):
+            board = board.extend(Message(i % 3, "1"))
+            chain.append(board)
+        assert len({id(t._buf) for t in chain[1:]}) == 1
+
+    def test_each_transcript_class_owns_its_constructor(self):
+        # perfbench counts constructions by wrapping vars(cls)["__init__"].
+        from repro.topology import LinkTranscript
+
+        for cls in (Transcript, LinkTranscript):
+            assert "__init__" in vars(cls)
+
+    def test_sibling_does_not_disturb_prefix(self):
+        root = Transcript([Message(0, "1")])
+        left = root.extend(Message(1, "0"))
+        right = root.extend(Message(1, "11"))
+        deeper = left.extend(Message(2, "1"))
+        assert root.bit_string() == "1"
+        assert left.bit_string() == "10"
+        assert right.bit_string() == "111"
+        assert deeper.bit_string() == "101"
+
+    def test_concurrent_extends_of_one_tip(self):
+        root = Transcript().extend(Message(0, "1"))
+        results = [[] for _ in range(4)]
+
+        def grow(slot):
+            for i in range(2000):
+                message = Message(slot + 1, format(i, "b"))
+                results[slot].append((root.extend(message), message))
+
+        threads = [
+            threading.Thread(target=grow, args=(slot,)) for slot in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for produced in results:
+            for transcript, message in produced:
+                assert list(transcript) == [root[0], message]
 
 
 class TestMessage:

@@ -19,7 +19,9 @@ from repro.topology import (
     ring_medium,
     star_medium,
 )
+from repro.core import Message, Transcript
 from repro.topology.medium import EMPTY_LINK_TRANSCRIPT, Medium
+from tests.core.test_model import assert_same_as_built
 
 
 class TestLink:
@@ -195,6 +197,24 @@ class TestLinkTranscriptExtend:
             )
             assert transcript == built and hash(transcript) == hash(built)
             assert transcript.bits_by_link() == built.bits_by_link()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**6), LINK_MESSAGES), max_size=30)
+    )
+    def test_any_extension_order(self, steps):
+        pool = [(LinkTranscript(), [])]
+        for pick, message in steps:
+            parent, parent_messages = pool[pick % len(pool)]
+            pool.append((parent.extend(message), parent_messages + [message]))
+        for transcript, expected in pool:
+            assert_same_as_built(transcript, expected, LinkTranscript)
+            built = LinkTranscript(expected)
+            assert transcript.bits_by_link() == built.bits_by_link()
+            assert transcript.on_link(BOARD_LINK) == built.on_link(BOARD_LINK)
+            assert transcript != Transcript(
+                Message(m.speaker, m.bits) for m in expected
+            )
 
 
 def reference_check_edge(medium, k, speaker, link):
