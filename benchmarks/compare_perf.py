@@ -35,6 +35,13 @@ The shared-walk gate times ``expected_communication`` on the truncated
 ``transcript_distribution``; the two must agree exactly and the shared
 walk must win by at least :data:`SHARED_WALK_SPEEDUP_FLOOR`.
 
+The information-fold gate times ``conditional_information_cost`` on the
+truncated ``k = 32`` hard distribution, which folds the walk's leaf
+table as arrays, against the joint-law path
+(``batched_joint_transcript_distribution`` +
+``conditional_mutual_information``); the two must agree exactly and
+the fold must win by at least :data:`INFO_FOLD_SPEEDUP_FLOOR`.
+
 The per-message scaling gate times one message-by-message run at
 ``k = 512`` and at ``k = 4096`` players (8x the messages) on the
 blackboard runner and on the coordinator medium; the ratio must stay
@@ -44,9 +51,10 @@ The E1 serial-vs-parallel speedup and the fabric ceilings are
 *recorded* (with the machine's CPU count) but only *enforced* when the
 checking machine has at least 4 CPUs — on fewer cores a process pool
 cannot win wall-clock and the number documents that honestly.  The
-vectorized-vs-legacy head-to-heads, the shared-walk gate and the
-per-message scaling gate are same-process ratios that need no spare
-cores, so they are enforced on any machine.
+vectorized-vs-legacy head-to-heads, the shared-walk and
+information-fold gates and the per-message scaling gate are
+same-process ratios that need no spare cores, so they are enforced on
+any machine.
 """
 
 from __future__ import annotations
@@ -85,6 +93,16 @@ SAMPLER_KERNEL_SPEEDUP_FLOOR = 5.0
 #: ratio measured 6.1-6.7x over six runs on a 2-vCPU x86-64 host (best
 #: of 3 per-input runs against best of 9 shared runs).
 SHARED_WALK_SPEEDUP_FLOOR = 4.0
+
+#: Information costs from the leaf table (same-process ratio, enforced
+#: on any CPU count): ``conditional_information_cost`` of sequential AND
+#: on the truncated k=32 hard distribution (15 904 scenarios), which
+#: folds the walk's leaf table as row arrays, against the joint-law path
+#: it replaced (``batched_joint_transcript_distribution`` +
+#: ``conditional_mutual_information``).  Both must give the same float;
+#: the ratio measured 2.2-2.9x over 13 runs on a 2-vCPU x86-64 host
+#: (best of 5 alternating samples per side).
+INFO_FOLD_SPEEDUP_FLOOR = 1.5
 
 #: Per-message scaling (same-process ratio, enforced on any CPU count).
 #: Simulating T messages must cost O(T): a run with 8x the messages may
@@ -311,6 +329,7 @@ def measure_shared_walk():
     the pre-sharing loop: one ``transcript_distribution`` DFS per input,
     folded in the same float order."""
     from repro.core import analysis, tree
+    from repro.information.distribution import left_sum
     from repro.lowerbounds.hard_distribution import and_hard_input_marginal
     from repro.protocols import SequentialAndProtocol
 
@@ -322,7 +341,7 @@ def measure_shared_walk():
         total = 0.0
         for inputs, p_inputs in marginal.items():
             law = tree.transcript_distribution(protocol, inputs)
-            total += p_inputs * sum(
+            total += p_inputs * left_sum(
                 p * transcript.bits_written for transcript, p in law.items()
             )
         values["per_input"] = total
@@ -342,6 +361,70 @@ def measure_shared_walk():
         "floor": SHARED_WALK_SPEEDUP_FLOOR,
         "values_equal": values["per_input"] == values["shared"],
     }
+
+
+def measure_info_fold():
+    """Leaf-table fold vs joint-law ``conditional_information_cost``,
+    timed in this process on the truncated k=32 hard distribution."""
+    from repro.core import analysis, tree
+    from repro.information.entropy import conditional_mutual_information
+    from repro.lowerbounds.hard_distribution import and_hard_distribution
+    from repro.protocols import SequentialAndProtocol
+
+    protocol = SequentialAndProtocol(32)
+    mu = and_hard_distribution(32, max_zeros=3)
+    values = {}
+
+    def joint_law():
+        joint = tree.batched_joint_transcript_distribution(
+            protocol, mu, names=("inputs", "aux")
+        )
+        values["joint"] = conditional_mutual_information(
+            joint, "transcript", "inputs", "aux"
+        )
+
+    def fold():
+        values["fold"] = analysis.conditional_information_cost(protocol, mu)
+
+    # Alternate the sides so a slow stretch of a shared host hits both.
+    joint_s = fold_s = float("inf")
+    for _ in range(5):
+        joint_s = min(joint_s, best_of(joint_law, repeats=1))
+        fold_s = min(fold_s, best_of(fold, repeats=1))
+    return {
+        "scenarios": len(mu),
+        "joint_s": joint_s,
+        "fold_s": fold_s,
+        "speedup": joint_s / fold_s,
+        "floor": INFO_FOLD_SPEEDUP_FLOOR,
+        "values_equal": values["joint"] == values["fold"],
+    }
+
+
+def check_info_fold(entry):
+    """Print the information-fold gate and return its failure strings."""
+    failures = []
+    verdict = "ok"
+    if not entry["values_equal"]:
+        verdict = "MISMATCH"
+        failures.append(
+            "leaf-table conditional_information_cost differs from the "
+            "joint-law path"
+        )
+    elif entry["speedup"] < entry["floor"]:
+        verdict = "REGRESSION"
+        failures.append(
+            f"leaf-table conditional_information_cost: speedup "
+            f"{entry['speedup']:.2f}x over the joint-law path < "
+            f"{entry['floor']}x floor"
+        )
+    print(
+        f"  information fold conditional_information_cost (AND_32 hard "
+        f"distribution, {entry['scenarios']} scenarios): joint law "
+        f"{entry['joint_s']:.3f}s, fold {entry['fold_s']:.3f}s, speedup "
+        f"{entry['speedup']:.2f}x (floor {entry['floor']}x)  {verdict}"
+    )
+    return failures
 
 
 def check_shared_walk(entry):
@@ -532,6 +615,7 @@ def measure():
     }
     results["kernel_speedups"] = measure_kernel_speedups()
     results["shared_walk"] = measure_shared_walk()
+    results["info_fold"] = measure_info_fold()
     results["message_scaling"] = measure_message_scaling()
     results["fabric"] = measure_fabric()
     results["machine"] = {
@@ -625,6 +709,7 @@ def check(baseline, current, tolerance):
         )
 
     failures += check_shared_walk(current["shared_walk"])
+    failures += check_info_fold(current["info_fold"])
     failures += check_message_scaling(current["message_scaling"])
 
     fabric = current["fabric"]

@@ -31,7 +31,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 from ..core.tree import MessageDistributionMemo
-from ..information.distribution import DiscreteDistribution, JointDistribution
+from ..information.distribution import (
+    DiscreteDistribution,
+    JointDistribution,
+    left_sum,
+)
 
 __all__ = [
     "TREE_BUGS",
@@ -182,7 +186,7 @@ def legacy_population_analyses(
     expected = 0.0
     error = 0.0
     for x, p_x in input_dist.items():
-        expected += p_x * sum(
+        expected += p_x * left_sum(
             p * transcript.bits_written for transcript, p in law(x).items()
         )
         correct = evaluate(x)

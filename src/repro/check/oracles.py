@@ -89,7 +89,11 @@ from ..core.analysis import (
 )
 from ..core.tree import batched_joint_transcript_distribution, transcript_distribution
 from ..core.validate import validate_protocol
-from ..information.entropy import entropy, mutual_information
+from ..information.entropy import (
+    conditional_mutual_information,
+    entropy,
+    mutual_information,
+)
 from ..information.estimation import (
     bootstrap_mutual_information_interval,
     plugin_mutual_information,
@@ -231,22 +235,25 @@ class BatchedTreeOracle(Oracle):
 
 class VectorizedKernelOracle(Oracle):
     """Array tree walk == dict tree walk, leaf for leaf; production joint
-    law == independent group-by re-derivation, item for item.
+    law == independent group-by re-derivation, item for item; IC, CIC,
+    H and E folded from the leaf table == the scalar functionals.
 
     The two real engines behind :func:`repro.core.tree.
     batched_joint_transcript_distribution` are called directly on the
     case's input tuples: :func:`repro.perf.kernels.
-    tree_walk_sorted_leaves` (the array walk every dense-codable
-    population takes) and :func:`repro.core.tree.
-    _legacy_walk_sorted_leaves` (the dict walk, the fallback for inputs
-    that cannot be dense-coded and the reference here).  Their leaf
-    tables — per-input leaf counts, boards and float probabilities, in
-    per-input DFS order — must be identical.  The planted-bug self-test
-    routes the independent lockstep re-derivation
-    (:func:`repro.check.mutations.vectorized_reference`) into the
-    comparison with the production joint law, with a partition-order or
-    lexsort-axis defect, proving an engine bug of either class cannot
-    slip through item comparison.
+    tree_walk_sorted_leaves` (the array walk populations of 64 or more
+    inputs take) and :func:`repro.core.tree.
+    _legacy_walk_sorted_leaves` (the dict walk smaller populations take,
+    and the reference here).  Their leaf tables — per-input leaf counts,
+    boards and float probabilities, in per-input DFS order — must be
+    identical.  The array folds of :mod:`repro.perf.kernels` then run on
+    the array walk's table at any size, against the scalar functionals
+    of the reference joint laws (the per-input fold for E).  The
+    planted-bug self-test routes the independent lockstep
+    re-derivation (:func:`repro.check.mutations.vectorized_reference`)
+    into the comparison with the production joint law, with a
+    partition-order or lexsort-axis defect, proving an engine bug of
+    either class cannot slip through item comparison.
     """
 
     name = "vectorized-vs-legacy"
@@ -259,19 +266,18 @@ class VectorizedKernelOracle(Oracle):
         input_keys = list(
             dict.fromkeys(tuple(x) for x, _p in case.input_dist.items())
         )
-        dict_rows, array_rows = (
-            _leaf_rows(
-                walk(
-                    case.protocol,
-                    input_keys,
-                    max_messages=tree.DEFAULT_MAX_MESSAGES,
-                )[0]
-            )
+        dict_table, array_table = (
+            walk(
+                case.protocol,
+                input_keys,
+                max_messages=tree.DEFAULT_MAX_MESSAGES,
+            )[0]
             for walk in (
                 tree._legacy_walk_sorted_leaves,
                 kernels.tree_walk_sorted_leaves,
             )
         )
+        dict_rows, array_rows = dict_table.rows(), array_table.rows()
         if array_rows != dict_rows:
             detail = _first_item_mismatch(array_rows, dict_rows)
             return self._fail(
@@ -293,20 +299,94 @@ class VectorizedKernelOracle(Oracle):
                 "group-by reference is not bit-identical to the production "
                 f"joint law: {detail}"
             )
+
+        # IC, CIC, H and E folded straight from the array walk's leaf
+        # table (at any size) against the scalar functionals of the
+        # reference joint laws (the per-input fold for E).
+        mu = _two_aux_scenarios(case.input_dist)
+        folded = _leaf_table_costs(case, input_keys, array_table, mu)
+        aux_reference = mutations.vectorized_reference(
+            case.protocol, mu, names=("inputs", "aux"), bug=bug
+        )
+        expected = {
+            "IC": mutual_information(reference, "transcript", "inputs"),
+            "CIC": conditional_mutual_information(
+                aux_reference, "transcript", "inputs", "aux"
+            ),
+            "H": entropy(reference.marginal("transcript")),
+            "E": mutations.legacy_population_analyses(
+                case.protocol, case.input_dist, case.input_tuples,
+                _input_parity,
+            )[0],
+        }
+        for label, value in folded.items():
+            if value != expected[label]:
+                return self._fail(
+                    f"{label} folded from the leaf table is not "
+                    f"bit-identical to the joint-law path: {value!r} vs "
+                    f"{expected[label]!r}"
+                )
         return self._ok(
-            f"{len(array_rows)} leaf rows and {len(production_items)} "
-            "joint outcomes bit-identical across engines"
+            f"{len(array_rows)} leaf rows, {len(production_items)} joint "
+            "outcomes and IC/CIC/H/E bit-identical across engines"
         )
 
 
-def _leaf_rows(
-    leaf_table: Tuple[List[int], List[Any], List[float]]
-) -> List[Tuple[int, Any, float]]:
-    """A tree walk's ``(counts, boards, probabilities)`` leaf table as
-    ``(input index, board, probability)`` rows."""
-    counts, boards, probabilities = leaf_table
-    owners = [index for index, count in enumerate(counts) for _ in range(count)]
-    return list(zip(owners, boards, probabilities))
+def _two_aux_scenarios(input_dist: Any) -> Any:
+    """A law over ``(x, d)`` that repeats every input across two
+    auxiliary values with unequal weights."""
+    from ..information.distribution import DiscreteDistribution
+
+    return DiscreteDistribution(
+        {
+            (x, d): p * weight
+            for x, p in input_dist.items()
+            for d, weight in ((0, 0.25), (1, 0.75))
+        },
+        normalize=True,
+    )
+
+
+def _leaf_table_costs(
+    case: GeneratedCase, input_keys: List[Any], table: Any, mu: Any
+) -> Dict[str, float]:
+    """IC, CIC, H and E of ``case`` by the array folds of
+    :mod:`repro.perf.kernels` over one walk's leaf table, at any size
+    (the analysis entry points fold only from ``_VECTOR_MIN_SUPPORT``
+    rows on)."""
+    from ..core import tree
+    from ..perf import kernels
+
+    index = {key: j for j, key in enumerate(input_keys)}
+
+    def rows_of(scenarios: Any) -> Any:
+        scenario_rows, keys = tree._scenario_rows(
+            case.protocol, scenarios, lambda scenario: scenario[0]
+        )
+        return kernels.joint_rows(
+            scenario_rows.scenarios,
+            scenario_rows.masses,
+            [index[keys[j]] for j in scenario_rows.inputs],
+            table,
+        )
+
+    rows = rows_of(case.input_dist.map(lambda x: (x,)))
+    aux_rows = rows_of(mu)
+    return {
+        "IC": kernels.mutual_information_rows(
+            rows.p, rows.leaf, rows.component(0)
+        ),
+        "CIC": kernels.conditional_mutual_information_rows(
+            aux_rows.p, aux_rows.leaf, aux_rows.component(0),
+            aux_rows.component(1),
+        ),
+        "H": kernels.marginal_entropy_rows(rows.p, rows.leaf),
+        "E": kernels.expected_bits(
+            table,
+            [p for _x, p in case.input_dist.items()],
+            [index[tuple(x)] for x, _p in case.input_dist.items()],
+        ),
+    }
 
 
 def _first_item_mismatch(

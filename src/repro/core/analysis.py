@@ -14,10 +14,15 @@ Section 3:
   and worst-case communication.
 
 All functions take an input distribution with *enumerable support* and use
-:mod:`repro.core.tree` for exact protocol-tree enumeration: the
-information costs fold the batched joint law, and the population
-analyses (error, communication) fold the per-input laws of one shared
-walk (:func:`repro.core.tree.transcript_distributions`).  The identity
+:mod:`repro.core.tree` for exact protocol-tree enumeration.  The external
+and conditional information costs, :math:`H(\\Pi)` and the expected
+communication read one shared walk's leaf table: from
+``_VECTOR_MIN_SUPPORT`` rows on they fold it as arrays
+(:mod:`repro.perf.kernels`), below that they build the batched joint law
+or the per-input laws from the same table and run the scalar
+functionals — with identical floats either way.  The error and
+worst-case analyses fold the per-input laws of
+:func:`repro.core.tree.transcript_distributions`.  The identity
 :math:`IC_\\mu(\\Pi) \\le H(\\Pi) \\le |\\Pi|` (stated after Definition 5)
 is asserted by the test suite using these same functions.
 
@@ -34,12 +39,19 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from ..information.distribution import DiscreteDistribution, JointDistribution
+from ..information.distribution import (
+    DiscreteDistribution,
+    JointDistribution,
+    left_sum,
+)
 from ..information.entropy import (
     conditional_mutual_information,
     entropy,
     mutual_information,
 )
+from ..obs.metrics import REGISTRY
+from ..obs.trace import get_tracer
+from . import tree
 from .model import Protocol, Transcript
 from .tasks import Task
 from .tree import joint_transcript_distribution, transcript_distributions
@@ -71,10 +83,15 @@ def transcript_joint(
     non-``None`` ``medium`` the transcript component is a
     :class:`~repro.topology.medium.LinkTranscript`.
     """
-    scenarios = input_dist.map(lambda x: (x,))
     return joint_transcript_distribution(
-        protocol, scenarios, names=("inputs",), medium=medium
+        protocol, _input_scenarios(input_dist), names=("inputs",),
+        medium=medium,
     )
+
+
+def _input_scenarios(input_dist: DiscreteDistribution) -> DiscreteDistribution:
+    """The scenario law ``(x,)`` of a law over input tuples."""
+    return input_dist.map(lambda x: (x,))
 
 
 def conditional_transcript_joint(
@@ -89,15 +106,94 @@ def conditional_transcript_joint(
     tuple and ``d`` the auxiliary variable (the paper's :math:`D`, e.g.
     the special player :math:`Z` of the Section 4 hard distribution).
     """
+    _check_aux_pairs(mu)
+    return joint_transcript_distribution(
+        protocol, mu, names=("inputs", "aux"), medium=medium
+    )
+
+
+def _check_aux_pairs(mu: DiscreteDistribution) -> None:
     for outcome in mu.support():
         if not (isinstance(outcome, tuple) and len(outcome) == 2):
             raise TypeError(
                 "mu must be over (inputs, aux) pairs, got outcome "
                 f"{outcome!r}"
             )
-    return joint_transcript_distribution(
-        protocol, mu, names=("inputs", "aux"), medium=medium
+
+
+def _joint_functional(
+    protocol: Protocol,
+    scenarios: DiscreteDistribution,
+    names: Sequence[str],
+    medium: Optional[Any],
+    array_fold: Callable[[Any], Optional[float]],
+    joint_fold: Callable[[JointDistribution], float],
+) -> float:
+    """A functional of the joint law of ``(scenario..., transcript)``,
+    with the scenario's first component as the player inputs.
+
+    On the blackboard the walk's leaf table goes to
+    :func:`repro.perf.kernels.joint_rows`, and ``array_fold`` computes
+    the functional from those rows.  When the joint law has fewer than
+    ``_VECTOR_MIN_SUPPORT`` rows, carries a zero mass, or ``array_fold``
+    returns ``None``, the same leaf table builds the
+    :class:`JointDistribution` of :func:`joint_transcript_distribution`
+    and ``joint_fold`` runs on it; a ``medium`` always takes that path.
+    Either way the walk runs once and emits one ``joint_enumerated``
+    event.
+    """
+    if medium is not None:
+        return joint_fold(
+            joint_transcript_distribution(
+                protocol, scenarios, names=names, medium=medium
+            )
+        )
+    from ..perf import kernels
+
+    tracer = get_tracer()
+    reg = REGISTRY if REGISTRY.enabled else None
+    scenario_rows, input_keys = tree._scenario_rows(
+        protocol, scenarios, lambda scenario: scenario[0]
     )
+    table, nodes_expanded, union_leaf_count, max_depth = tree._leaf_table(
+        protocol, input_keys, max_messages=tree.DEFAULT_MAX_MESSAGES,
+        memo=None,
+    )
+    rows = None
+    row_count = sum(map(table.counts.__getitem__, scenario_rows.inputs))
+    if row_count >= kernels._VECTOR_MIN_SUPPORT:
+        rows = kernels.joint_rows(*scenario_rows, table)
+    value = None if rows is None else array_fold(rows)
+    if value is not None:
+        tree._observe_joint(
+            protocol,
+            len(scenario_rows.scenarios),
+            len(input_keys),
+            row_count,
+            nodes_expanded,
+            union_leaf_count,
+            max_depth,
+            tracer=tracer,
+            reg=reg,
+            memo=None,
+            memo_before=(0, 0),
+        )
+        return value
+    joint = tree._assemble_joint(
+        protocol,
+        scenario_rows,
+        input_keys,
+        tree._laws_from_leaf_table(input_keys, table),
+        nodes_expanded,
+        union_leaf_count,
+        max_depth,
+        names=names,
+        tracer=tracer,
+        reg=reg,
+        memo=None,
+        memo_before=(0, 0),
+    )
+    return joint_fold(joint)
 
 
 def external_information_cost(
@@ -112,8 +208,18 @@ def external_information_cost(
     medium; the broadcast medium reproduces the blackboard value
     exactly.
     """
-    joint = transcript_joint(protocol, input_dist, medium=medium)
-    return mutual_information(joint, "transcript", "inputs")
+    from ..perf import kernels
+
+    return _joint_functional(
+        protocol,
+        _input_scenarios(input_dist),
+        ("inputs",),
+        medium,
+        lambda rows: kernels.mutual_information_rows(
+            rows.p, rows.leaf, rows.component(0)
+        ),
+        lambda joint: mutual_information(joint, "transcript", "inputs"),
+    )
 
 
 def conditional_information_cost(
@@ -124,8 +230,21 @@ def conditional_information_cost(
 ) -> float:
     """Conditional information cost :math:`I(\\Pi; X \\mid D)` in bits
     (Definition 6), for ``mu`` over ``(inputs, aux)`` pairs."""
-    joint = conditional_transcript_joint(protocol, mu, medium=medium)
-    return conditional_mutual_information(joint, "transcript", "inputs", "aux")
+    from ..perf import kernels
+
+    _check_aux_pairs(mu)
+    return _joint_functional(
+        protocol,
+        mu,
+        ("inputs", "aux"),
+        medium,
+        lambda rows: kernels.conditional_mutual_information_rows(
+            rows.p, rows.leaf, rows.component(0), rows.component(1)
+        ),
+        lambda joint: conditional_mutual_information(
+            joint, "transcript", "inputs", "aux"
+        ),
+    )
 
 
 def internal_information_cost(
@@ -168,8 +287,16 @@ def transcript_entropy(
     that the sequential AND protocol has :math:`IC = O(\\log k)` bounds
     exactly this quantity.
     """
-    joint = transcript_joint(protocol, input_dist, medium=medium)
-    return entropy(joint.marginal("transcript"))
+    from ..perf import kernels
+
+    return _joint_functional(
+        protocol,
+        _input_scenarios(input_dist),
+        ("inputs",),
+        medium,
+        lambda rows: kernels.marginal_entropy_rows(rows.p, rows.leaf),
+        lambda joint: entropy(joint.marginal("transcript")),
+    )
 
 
 def distributional_error(
@@ -228,11 +355,35 @@ def expected_communication(
     medium: Optional[Any] = None,
 ) -> float:
     """The exact expected number of bits written, under ``input_dist`` and
-    the protocol's private coins."""
-    laws = transcript_distributions(protocol, input_dist, medium=medium)
+    the protocol's private coins.
+
+    On the blackboard the shared walk's leaf table is folded as arrays
+    (:func:`repro.perf.kernels.expected_bits`) from
+    ``_VECTOR_MIN_SUPPORT`` rows on; smaller tables, and any medium,
+    fold the per-input laws in the same float order."""
+    if medium is None:
+        from ..perf import kernels
+
+        input_keys, table = tree._population_leaf_table(protocol, input_dist)
+        if len(table.probs) >= kernels._VECTOR_MIN_SUPPORT:
+            items = list(input_dist.items())
+            if len(input_keys) == len(items):
+                # Distinct outcomes, distinct keys: outcome i is input i.
+                owners: Sequence[int] = range(len(items))
+            else:
+                index = {key: j for j, key in enumerate(input_keys)}
+                owners = [index[tuple(inputs)] for inputs, _p in items]
+            value = kernels.expected_bits(
+                table, [p_inputs for _inputs, p_inputs in items], owners
+            )
+            if value is not None:
+                return value
+        laws = tree._laws_from_leaf_table(input_keys, table)
+    else:
+        laws = transcript_distributions(protocol, input_dist, medium=medium)
     total = 0.0
     for inputs, p_inputs in input_dist.items():
-        total += p_inputs * sum(
+        total += p_inputs * left_sum(
             p * transcript.bits_written
             for transcript, p in laws[tuple(inputs)].items()
         )

@@ -23,8 +23,10 @@ Entry points
 * :func:`transcript_distributions` — the law of every input tuple of a
   population, from one shared walk (the per-input DFS when the
   population is a single input).  The population analyses of
-  :mod:`repro.core.analysis` (expected/worst-case communication and
-  error) and :func:`reachable_transcripts` fold these laws.
+  :mod:`repro.core.analysis` (worst-case communication and error) and
+  :func:`reachable_transcripts` fold these laws; the information costs
+  and the expected communication fold the walk's :class:`LeafTable`
+  itself.
 * :func:`joint_transcript_distribution` — joint law of (scenario
   components..., transcript) for a distribution over scenarios, where a
   scenario is any tuple whose components the caller wants to keep (inputs,
@@ -59,7 +61,17 @@ suite asserts exact float equality across every shipped protocol class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..information.distribution import DiscreteDistribution, JointDistribution
 from ..obs.metrics import REGISTRY
@@ -82,6 +94,36 @@ DEFAULT_MAX_MESSAGES = 100_000
 _PRUNE_BELOW = 0.0
 
 _MISSING = object()
+
+
+class LeafTable(NamedTuple):
+    """One shared walk's leaves, as flat per-row lists.
+
+    Every walk engine (the per-input DFS, the dict walk, the array walk
+    of :mod:`repro.perf.kernels`, the medium dict walk) returns this
+    shape.  Rows are grouped by distinct input, in input order —
+    ``counts[j]`` rows for input ``j`` — and within an input they come
+    in that input's per-input DFS leaf order (descending lexicographic
+    child-index path), which pins every downstream float fold.  Leaf ids
+    are engine-specific (the engines discover leaves in different
+    orders); :meth:`rows` is the engine-independent content.
+    """
+
+    #: Rows per distinct input, in input order.
+    counts: List[int]
+    #: Per row: the union-leaf id (an index into :attr:`leaves`).
+    leaf_ids: List[int]
+    #: Per row: the unnormalized probability of that leaf under that
+    #: input (the product of message probabilities along its path).
+    probs: List[float]
+    #: The union tree's leaf boards, by leaf id.
+    leaves: List[Any]
+
+    def rows(self) -> List[Tuple[int, Any, float]]:
+        """``(input index, board, probability)`` per row."""
+        owners = [j for j, count in enumerate(self.counts) for _ in range(count)]
+        boards = [self.leaves[leaf_id] for leaf_id in self.leaf_ids]
+        return list(zip(owners, boards, self.probs))
 
 
 class MessageDistributionMemo:
@@ -415,11 +457,8 @@ def transcript_distributions(
     :func:`transcript_distribution` on that input.  This is the walk the
     population analyses of :mod:`repro.core.analysis` fold over.
 
-    The engine is picked from the population: a single distinct input
-    takes the per-input DFS (the array walk's set-up costs more than it
-    shares there); larger populations take the array walk of
-    :mod:`repro.perf.kernels`, or the dict walk when the input
-    coordinates cannot be dense-coded.  ``medium`` delegates to
+    The engine is picked from the population (see :func:`_leaf_table`).
+    ``medium`` delegates to
     :func:`repro.topology.tree.medium_transcript_distributions` (laws
     over :class:`~repro.topology.medium.LinkTranscript`).
 
@@ -437,7 +476,7 @@ def transcript_distributions(
             max_messages=max_messages,
             tracer=tracer,
         )
-    return _population_laws(
+    _keys, laws = _population_walk(
         protocol,
         inputs,
         lambda keys: _laws_by_input(
@@ -445,29 +484,48 @@ def transcript_distributions(
         ),
         tracer=tracer,
     )
+    return laws or {}
 
 
-def _population_laws(
+def _population_leaf_table(
+    protocol: Protocol,
+    inputs: Iterable[Sequence[Any]],
+    *,
+    tracer: Optional[Tracer] = None,
+) -> Tuple[List[Tuple[Any, ...]], LeafTable]:
+    """``(distinct inputs, leaf table)`` of one shared walk over a
+    non-empty population, observed exactly like
+    :func:`transcript_distributions` (the array folds of
+    :mod:`repro.core.analysis` read the table instead of the laws)."""
+    return _population_walk(
+        protocol,
+        inputs,
+        lambda keys: _leaf_table(
+            protocol, keys, max_messages=DEFAULT_MAX_MESSAGES, memo=None
+        ),
+        tracer=tracer,
+    )
+
+
+def _population_walk(
     protocol: Any,
     inputs: Iterable[Sequence[Any]],
-    laws_by_input: Callable[
-        [List[Tuple[Any, ...]]],
-        Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int],
-    ],
+    walk: Callable[[List[Tuple[Any, ...]]], Tuple[Any, int, int, int]],
     *,
     tracer: Optional[Tracer],
-) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
-    """The body of both population entry points (board and medium):
-    distinct inputs, one ``laws_by_input`` walk, the observability tail."""
+) -> Tuple[List[Tuple[Any, ...]], Any]:
+    """The body of the population entry points (board and medium):
+    distinct inputs, one ``walk`` returning ``(result, nodes_expanded,
+    union_leaves, max_depth)``, the observability tail.  Returns
+    ``(distinct inputs, result)``; ``result`` is ``None`` for an empty
+    population, which is not walked."""
     if tracer is None:
         tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
     input_keys = _distinct_inputs(protocol, inputs)
     if not input_keys:
-        return {}
-    laws, nodes_expanded, union_leaf_count, max_depth = laws_by_input(
-        input_keys
-    )
+        return input_keys, None
+    result, nodes_expanded, union_leaf_count, max_depth = walk(input_keys)
     if tracer:
         tracer.event(
             "laws_enumerated",
@@ -481,7 +539,7 @@ def _population_laws(
         reg, protocol, nodes_expanded, union_leaf_count, max_depth, None,
         (0, 0),
     )
-    return laws
+    return input_keys, result
 
 
 def _distinct_inputs(
@@ -498,25 +556,86 @@ def _distinct_inputs(
     return list(input_keys)
 
 
+class ScenarioRows(NamedTuple):
+    """Pass 1 of a joint law: the scenarios in order, as columns."""
+
+    scenarios: List[Tuple[Any, ...]]
+    masses: List[float]
+    #: Per scenario: the index of its input tuple among the distinct
+    #: inputs (first-seen order).
+    inputs: List[int]
+
+
 def _scenario_rows(
     protocol: Any,
     scenarios: DiscreteDistribution,
     inputs_of: Callable[[Any], Sequence[Any]],
-) -> Tuple[
-    List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]], List[Tuple[Any, ...]]
-]:
-    """Pass 1 of a joint law: ``(scenario, mass, input key)`` rows in
-    scenario order, and the distinct input keys in first-seen order
-    (each validated once)."""
-    scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]] = []
+) -> Tuple[ScenarioRows, List[Tuple[Any, ...]]]:
+    """Pass 1 of a joint law: the scenario columns in scenario order,
+    and the distinct input keys in first-seen order (each validated
+    once, after every scenario is read)."""
+    rows = ScenarioRows([], [], [])
+    index: Dict[Tuple[Any, ...], int] = {}
     for scenario, p_scenario in scenarios.items():
         if not isinstance(scenario, tuple):
             raise TypeError(
                 f"scenario outcomes must be tuples, got {scenario!r}"
             )
-        scenario_rows.append((scenario, p_scenario, tuple(inputs_of(scenario))))
-    input_keys = _distinct_inputs(protocol, (row[2] for row in scenario_rows))
-    return scenario_rows, input_keys
+        rows.scenarios.append(scenario)
+        rows.masses.append(p_scenario)
+        rows.inputs.append(
+            index.setdefault(tuple(inputs_of(scenario)), len(index))
+        )
+    input_keys = list(index)
+    for key in input_keys:
+        protocol.validate_inputs(key)
+    return rows, input_keys
+
+
+def _leaf_table(
+    protocol: Protocol,
+    input_keys: List[Tuple[Any, ...]],
+    *,
+    max_messages: int,
+    memo: Optional[MessageDistributionMemo],
+) -> Tuple[LeafTable, int, int, int]:
+    """Pass 2 of a joint law: one walk over the distinct inputs,
+    ``(leaf table, nodes_expanded, union_leaves, max_depth)``.
+
+    The engine is picked from the population size, with no switch:
+
+    * one input takes the per-input DFS;
+    * fewer than ``kernels._VECTOR_MIN_SUPPORT`` inputs take the dict
+      walk (:func:`_legacy_walk_sorted_leaves`), whose per-node cost is
+      lower while the population is small;
+    * larger populations take the array walk of
+      :func:`repro.perf.kernels.tree_walk_sorted_leaves`.
+
+    Both shared walks run one DFS over the *union* protocol tree, each
+    node carrying the population of input tuples that reach its board,
+    partitioned by the speaker's input alone.  Either way the index path
+    replays, per input, the exact leaf order the per-input DFS produces
+    (children are pushed in message order and popped LIFO, so leaves
+    arrive in descending lexicographic index order) — which pins the
+    normalization sum bit-for-bit.
+    """
+    if len(input_keys) == 1:
+        leaves, nodes_expanded, max_depth = _dfs_leaves(
+            protocol, input_keys[0], max_messages=max_messages, memo=memo
+        )
+        table = LeafTable(
+            [len(leaves)], list(range(len(leaves))), list(leaves.values()),
+            list(leaves),
+        )
+        return table, nodes_expanded, len(leaves), max_depth
+
+    from ..perf import kernels
+
+    if len(input_keys) < kernels._VECTOR_MIN_SUPPORT:
+        walk = _legacy_walk_sorted_leaves
+    else:
+        walk = kernels.tree_walk_sorted_leaves
+    return walk(protocol, input_keys, max_messages=max_messages, memo=memo)
 
 
 def _laws_by_input(
@@ -526,71 +645,31 @@ def _laws_by_input(
     max_messages: int,
     memo: Optional[MessageDistributionMemo],
 ) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
-    """Each distinct input's transcript law:
-    ``(laws, nodes_expanded, union_leaves, max_depth)``.
-
-    One input takes the per-input DFS.  Larger populations take one DFS
-    over the *union* protocol tree, each node carrying the population of
-    input tuples that reach its board.  The array walk
-    (repro.perf.kernels) carries the population as index / probability /
-    index-path arrays and partitions it by group-by; when the input
-    coordinates cannot be dense-coded, the dict walk carries a mapping
-    input tuple -> (probability of this path under that input,
-    child-index path in that input's own enumeration).  Either way the
-    index path replays, per input, the exact leaf order the per-input
-    DFS produces (children are pushed in message order and popped LIFO,
-    so leaves arrive in descending lexicographic index order) — which
-    pins the normalization sum bit-for-bit.
-    """
-    if len(input_keys) == 1:
-        (key,) = input_keys
-        leaves, nodes_expanded, max_depth = _dfs_leaves(
-            protocol, key, max_messages=max_messages, memo=memo
-        )
-        law = DiscreteDistribution(leaves, normalize=True)
-        return {key: law}, nodes_expanded, len(leaves), max_depth
-
-    from ..perf import kernels
-
-    try:
-        leaf_table, nodes_expanded, union_leaf_count, max_depth = (
-            kernels.tree_walk_sorted_leaves(
-                protocol,
-                input_keys,
-                max_messages=max_messages,
-                memo=memo,
-            )
-        )
-    except TypeError:
-        # Unhashable input coordinates cannot be dense-coded; the
-        # dict-driven walk handles them.
-        leaf_table, nodes_expanded, union_leaf_count, max_depth = (
-            _legacy_walk_sorted_leaves(
-                protocol, input_keys, max_messages=max_messages, memo=memo
-            )
-        )
-
-    laws = _laws_from_leaf_table(input_keys, leaf_table)
+    """Passes 2-3: each distinct input's transcript law,
+    ``(laws, nodes_expanded, union_leaves, max_depth)``."""
+    table, nodes_expanded, union_leaf_count, max_depth = _leaf_table(
+        protocol, input_keys, max_messages=max_messages, memo=memo
+    )
+    laws = _laws_from_leaf_table(input_keys, table)
     return laws, nodes_expanded, union_leaf_count, max_depth
 
 
 def _laws_from_leaf_table(
-    input_keys: Sequence[Tuple[Any, ...]],
-    leaf_table: Tuple[List[int], List[Any], List[float]],
+    input_keys: Sequence[Tuple[Any, ...]], table: LeafTable
 ) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
-    """Each input's law from its ordered leaf rows (descending
-    lexicographic index path — every shared walk delivers this order),
-    accumulated and normalized exactly as the per-input DFS does.
+    """Pass 3: each input's law from its ordered leaf rows, accumulated
+    and normalized exactly as the per-input DFS does.
 
     An input with one leaf (every input of a deterministic protocol)
     skips the dict and the generic constructor; its mass is the same
     ``p * (1.0 / p)``.
     """
-    counts, leaf_boards, leaf_probs = leaf_table
+    leaf_boards = list(map(table.leaves.__getitem__, table.leaf_ids))
+    leaf_probs = table.probs
     single = DiscreteDistribution._normalized_point
     laws: Dict[Tuple[Any, ...], DiscreteDistribution] = {}
     pos = 0
-    for key, count in zip(input_keys, counts):
+    for key, count in zip(input_keys, table.counts):
         if count == 1 and leaf_probs[pos] > 0.0:
             laws[key] = single(leaf_boards[pos], leaf_probs[pos])
             pos += 1
@@ -612,24 +691,22 @@ def _legacy_walk_sorted_leaves(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     memo: Optional[MessageDistributionMemo] = None,
-) -> Tuple[Tuple[List[int], List[Transcript], List[float]], int, int, int]:
-    """The dict-driven shared walk: the engine for inputs the array walk
-    cannot dense-code, and the reference the bit-identity tests and the
-    ``vectorized-vs-legacy`` oracle compare that walk against.
+) -> Tuple[LeafTable, int, int, int]:
+    """The dict-driven shared walk: the engine for populations below
+    ``kernels._VECTOR_MIN_SUPPORT`` inputs, and the reference the
+    bit-identity tests and the ``vectorized-vs-legacy`` oracle compare
+    the array walk against.
 
     Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
-    where ``leaf_table = (counts, boards, probabilities)`` concatenates
-    every input's leaf entries in input order — ``counts[j]`` rows for
-    ``input_keys[j]``, each row already in that input's per-input DFS
-    leaf order.  The same contract as
+    — the same contract as
     :func:`repro.perf.kernels.tree_walk_sorted_leaves`, so the caller's
-    accumulation is engine-independent.
+    folds are engine-independent.
     """
     Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
     leaves_by_key: Dict[
-        Tuple[Any, ...], List[Tuple[Tuple[int, ...], Transcript, float]]
+        Tuple[Any, ...], List[Tuple[Tuple[int, ...], int, float]]
     ] = {key: [] for key in input_keys}
-    union_leaves: Dict[Transcript, None] = {}
+    union_leaves: List[Transcript] = []
     nodes_expanded = 0
     max_depth = 0
     root_groups: Groups = {key: (1.0, ()) for key in input_keys}
@@ -648,9 +725,12 @@ def _legacy_walk_sorted_leaves(
             max_depth = len(board)
         speaker = protocol.next_speaker(state, board)
         if speaker is None:
-            union_leaves[board] = None
+            # Every node of the union tree has its own board, so each
+            # leaf is new here.
+            leaf_id = len(union_leaves)
+            union_leaves.append(board)
             for key, (prob, index_path) in groups.items():
-                leaves_by_key[key].append((index_path, board, prob))
+                leaves_by_key[key].append((index_path, leaf_id, prob))
             continue
         if not 0 <= speaker < protocol.num_players:
             raise ProtocolViolation(
@@ -698,30 +778,21 @@ def _legacy_walk_sorted_leaves(
             )
 
     # Sort each input's leaves into its per-input DFS order (descending
-    # lexicographic index path), then flatten into the engine-shared
-    # (counts, boards, probabilities) leaf table — flat parallel lists
-    # avoid materializing one pair tuple per (input, leaf) row.
-    counts: List[int] = []
-    boards_flat: List[Transcript] = []
-    probs_flat: List[float] = []
+    # lexicographic index path), then flatten into the leaf table.
+    table = LeafTable([], [], [], union_leaves)
     for key in input_keys:
         entries = leaves_by_key[key]
         entries.sort(key=lambda entry: entry[0], reverse=True)
-        counts.append(len(entries))
-        for _path, board, prob in entries:
-            boards_flat.append(board)
-            probs_flat.append(prob)
-    return (
-        (counts, boards_flat, probs_flat),
-        nodes_expanded,
-        len(union_leaves),
-        max_depth,
-    )
+        table.counts.append(len(entries))
+        for _path, leaf_id, prob in entries:
+            table.leaf_ids.append(leaf_id)
+            table.probs.append(prob)
+    return table, nodes_expanded, len(union_leaves), max_depth
 
 
 def _assemble_joint(
     protocol: Protocol,
-    scenario_rows: List[Tuple[Tuple[Any, ...], float, Tuple[Any, ...]]],
+    scenario_rows: ScenarioRows,
     input_keys: List[Tuple[Any, ...]],
     transcripts_by_key: Dict[Tuple[Any, ...], DiscreteDistribution],
     nodes_expanded: int,
@@ -734,21 +805,59 @@ def _assemble_joint(
     memo: Optional[MessageDistributionMemo],
     memo_before: Tuple[int, int],
 ) -> JointDistribution:
-    """Scenario-mass accumulation + observability tail shared by the
-    dict and array walks (identical float fold either way)."""
+    """Scenario-mass accumulation + observability tail shared by every
+    walk engine (identical float fold either way).  ``transcripts_by_key``
+    lists the laws in ``input_keys`` order, as every walk builds it."""
+    laws = list(transcripts_by_key.values())
     probs: Dict[Tuple[Any, ...], float] = {}
-    for scenario, p_scenario, key in scenario_rows:
-        for transcript, p_transcript in transcripts_by_key[key].items():
+    for scenario, p_scenario, j in zip(*scenario_rows):
+        for transcript, p_transcript in laws[j].items():
             outcome = scenario + (transcript,)
             probs[outcome] = probs.get(outcome, 0.0) + p_scenario * p_transcript
 
+    _observe_joint(
+        protocol,
+        len(scenario_rows.scenarios),
+        len(input_keys),
+        len(probs),
+        nodes_expanded,
+        union_leaf_count,
+        max_depth,
+        tracer=tracer,
+        reg=reg,
+        memo=memo,
+        memo_before=memo_before,
+    )
+    full_names = None
+    if names is not None:
+        full_names = tuple(names) + ("transcript",)
+    return JointDistribution(probs, names=full_names, normalize=True)
+
+
+def _observe_joint(
+    protocol: Any,
+    scenario_count: int,
+    input_count: int,
+    outcome_count: int,
+    nodes_expanded: int,
+    union_leaf_count: int,
+    max_depth: int,
+    *,
+    tracer: Optional[Tracer],
+    reg,
+    memo: Optional[MessageDistributionMemo],
+    memo_before: Tuple[int, int],
+) -> None:
+    """The observability tail of one joint law, whether it was built as
+    a dict or folded as row arrays: the ``joint_enumerated`` event and
+    the walk's registry counters."""
     if tracer:
         tracer.event(
             "joint_enumerated",
             protocol=type(protocol).__name__,
-            scenarios=len(scenario_rows),
-            distinct_inputs=len(input_keys),
-            outcomes=len(probs),
+            scenarios=scenario_count,
+            distinct_inputs=input_count,
+            outcomes=outcome_count,
             nodes=nodes_expanded,
             max_depth=max_depth,
             batched=True,
@@ -757,10 +866,6 @@ def _assemble_joint(
         reg, protocol, nodes_expanded, union_leaf_count, max_depth, memo,
         memo_before,
     )
-    full_names = None
-    if names is not None:
-        full_names = tuple(names) + ("transcript",)
-    return JointDistribution(probs, names=full_names, normalize=True)
 
 
 def joint_transcript_distribution(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import (
     Any,
     Callable,
@@ -47,12 +48,32 @@ __all__ = [
     "DiscreteDistribution",
     "JointDistribution",
     "Outcome",
+    "left_sum",
 ]
 
 Outcome = Hashable
 
 #: Tolerance used when checking that probability mass sums to one.
 _MASS_TOLERANCE = 1e-9
+
+if sys.version_info >= (3, 12):
+
+    def left_sum(values: Iterable[Any]) -> Any:
+        """``sum(values)`` as a strict left-to-right fold from ``0``.
+
+        Since Python 3.12 the built-in ``sum`` of floats compensates its
+        rounding error (Neumaier), so it no longer equals the left folds
+        the array kernels of :mod:`repro.perf.kernels` replay.  Every
+        scalar reduction such a kernel mirrors goes through this fold;
+        before 3.12 the built-in already is it and is used as is.
+        """
+        total = 0
+        for value in values:
+            total += value
+        return total
+
+else:
+    left_sum = sum
 
 
 class DiscreteDistribution:
@@ -84,7 +105,7 @@ class DiscreteDistribution:
         *,
         normalize: bool = False,
     ) -> None:
-        total = float(sum(probabilities.values()))
+        total = float(left_sum(probabilities.values()))
         if normalize:
             if total <= 0.0:
                 raise ValueError("cannot normalize: total mass is not positive")
@@ -226,9 +247,7 @@ class DiscreteDistribution:
             if fast is not None:
                 self._entropy = fast
             else:
-                self._entropy = -sum(
-                    p * math.log2(p) for _, p in self._probs.items() if p > 0.0
-                )
+                self._entropy = scalar_entropy(self._probs.values())
         return self._entropy
 
     def as_dict(self) -> Dict[Outcome, float]:
@@ -347,6 +366,13 @@ class DiscreteDistribution:
         )
         suffix = ", ..." if len(self._probs) > 4 else ""
         return f"DiscreteDistribution({{{preview}{suffix}}})"
+
+
+def scalar_entropy(probabilities: Iterable[float]) -> float:
+    """``-Σ p log2 p`` over the positive ``probabilities``, folded left
+    to right: the small-support entropy engine (the array kernel takes
+    supports of ``_VECTOR_MIN_SUPPORT`` outcomes or more)."""
+    return -left_sum(p * math.log2(p) for p in probabilities if p > 0.0)
 
 
 #: The one-bit point masses ``(point_mass("0"), point_mass("1"))``,

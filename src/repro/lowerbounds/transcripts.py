@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..core.model import Protocol, Transcript
 from ..core.tasks import boolean_inputs_with_zero_count
 from ..core.tree import transcript_distributions
+from ..information.distribution import left_sum
 from .decomposition import TranscriptFactors, transcript_factors
 
 __all__ = ["TranscriptClassification", "GoodTranscriptReport",
@@ -219,4 +220,4 @@ def _class_conditioned_probability(
     under :math:`\\mu` given their zero count)."""
     if not inputs:
         raise ValueError("empty input class")
-    return sum(factors.probability(x) for x in inputs) / len(inputs)
+    return left_sum(factors.probability(x) for x in inputs) / len(inputs)

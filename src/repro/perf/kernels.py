@@ -37,11 +37,15 @@ directly.
 * Entropy, KL divergence, mutual information, conditional mutual
   information and the Lemma 2 fold vectorize once the support reaches
   :data:`_VECTOR_MIN_SUPPORT` outcomes.
+* The information costs, ``H(Π)`` and the expected communication of
+  :mod:`repro.core.analysis` fold a walk's leaf table as row arrays
+  (:func:`joint_rows`, :func:`expected_bits`) from
+  :data:`_VECTOR_MIN_SUPPORT` rows on.
 * The E14 rectangle DP runs dense while ``3**k * z_count`` stays within
   :data:`_E14_CELL_CAP`.
-* The batched tree walk runs here whenever the input coordinates can be
-  dense-coded (are hashable); otherwise ``repro.core.tree`` falls back
-  to its dict-driven walk.
+* The batched tree walk runs here for populations of at least
+  :data:`_VECTOR_MIN_SUPPORT` distinct inputs; ``repro.core.tree``
+  walks smaller ones with its dict-driven walk.
 
 numpy is a declared dependency (``pyproject.toml``: ``numpy>=1.21``).
 It is imported inside the kernels rather than at module load, so
@@ -57,12 +61,19 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..information.distribution import scalar_entropy
 from ..information.entropy import binary_entropy
 from ..obs.metrics import REGISTRY
 
 __all__ = [
     "ordered_sum",
     "tree_walk_sorted_leaves",
+    "JointRows",
+    "joint_rows",
+    "mutual_information_rows",
+    "conditional_mutual_information_rows",
+    "marginal_entropy_rows",
+    "expected_bits",
     "entropy_fast",
     "kl_divergence_fast",
     "mutual_information_fast",
@@ -76,7 +87,8 @@ __all__ = [
     "simulate_optimal_disjointness",
 ]
 
-#: Joint laws with fewer outcomes than this run the scalar loops — array
+#: Joint laws with fewer outcomes than this run the scalar loops, and
+#: populations with fewer distinct inputs the dict tree walk — array
 #: setup costs more than it saves on tiny supports.  Tests monkeypatch
 #: this to 0 (or past any support) to force either engine.
 _VECTOR_MIN_SUPPORT = 64
@@ -104,10 +116,10 @@ def _count_call(op: str) -> None:
 # ----------------------------------------------------------------------
 def ordered_sum(values: Any) -> float:
     """Left-to-right fold of a 1-D float64 array, starting from ``0.0``
-    — bit-identical to ``sum()`` over the same values in the same order
-    (``0.0 + x == x`` exactly for every finite non-negative ``x``, and
-    for the first term of any legacy ``sum`` the int-0 start coerces to
-    the same ``0.0 + x``)."""
+    — bit-identical to :func:`repro.information.distribution.left_sum`
+    over the same values in the same order (``0.0 + x == x`` exactly
+    for every finite non-negative ``x``, and for the first term of
+    ``left_sum`` the int-0 start coerces to the same ``0.0 + x``)."""
     total = 0.0
     for value in values.tolist():
         total += value
@@ -180,14 +192,13 @@ def tree_walk_sorted_leaves(
     population of input tuples, vectorized over the population.
 
     Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
-    where ``leaf_table = (counts, boards, probabilities)`` concatenates
-    every input's leaf entries in input order — ``counts[j]`` rows for
-    ``input_keys[j]`` — **already in the legacy post-sort order**
-    (descending lexicographic child-index path — the order the per-input
-    DFS of ``transcript_distribution`` emits leaves in), so the caller's
-    accumulation into a dict reproduces the legacy float sums exactly.
-    Flat parallel lists keep the assembly a pair of C-level gathers with
-    no per-row Python object construction.
+    where ``leaf_table`` is a :class:`repro.core.tree.LeafTable`: every
+    input's ``(leaf id, probability)`` rows in input order —
+    ``counts[j]`` rows for ``input_keys[j]`` — **already in the legacy
+    post-sort order** (descending lexicographic child-index path — the
+    order the per-input DFS of ``transcript_distribution`` emits leaves
+    in), so every fold over the rows reproduces the legacy float sums
+    exactly.
 
     The walk batches *every node of a depth level* into single
     index/probability/path arrays: one composite-key stable sort
@@ -199,9 +210,10 @@ def tree_walk_sorted_leaves(
     or more positive outcomes — at any other level a member cannot fork,
     so the column could never decide the within-member leaf order.
     """
-    # Local import: core.model is import-safe from here (the model layer
-    # never imports repro.perf).
+    # Local imports: core.model and core.tree import repro.perf only
+    # inside functions, so both are import-safe from here.
     from ..core.model import Message, ProtocolViolation, Transcript
+    from ..core.tree import LeafTable
 
     import numpy as np_
 
@@ -479,14 +491,12 @@ def tree_walk_sorted_leaves(
         else:
             A_lin = base_lin
 
+    leaves = [record[0] for record in leaf_records]
     if not leaf_records:
-        return ([0] * m, [], []), nodes_expanded, 0, max_depth
+        return LeafTable([0] * m, [], [], leaves), nodes_expanded, 0, max_depth
     union_leaves = len(leaf_records)
     epoch_scales.append(lin_scale)
     n_epochs = len(epoch_scales)
-    boards_arr = np_.empty(union_leaves, dtype=object)
-    for leaf_index, record in enumerate(leaf_records):
-        boards_arr[leaf_index] = record[0]
     member = np_.concatenate([record[1] for record in leaf_records])
     prob_all = np_.concatenate([record[2] for record in leaf_records])
     leaf_of = np_.repeat(
@@ -535,18 +545,14 @@ def tree_walk_sorted_leaves(
         sort_keys = [-lin_mat[:, e] for e in range(n_epochs - 1, -1, -1)]
         sort_keys.append(member)
         order = np_.lexsort(tuple(sort_keys))
-    # Rows are now contiguous per member; one object-dtype gather plus
-    # C-level zips assembles every per-input leaf list without a
-    # per-row Python loop.
-    boards_sorted = boards_arr[leaf_of[order]].tolist()
-    probs_sorted = prob_all[order].tolist()
-    counts = member_counts.tolist()
-    return (
-        (counts, boards_sorted, probs_sorted),
-        nodes_expanded,
-        union_leaves,
-        max_depth,
+    # Rows are now contiguous per member, in per-input DFS order.
+    table = LeafTable(
+        member_counts.tolist(),
+        leaf_of[order].tolist(),
+        prob_all[order].tolist(),
+        leaves,
     )
+    return table, nodes_expanded, union_leaves, max_depth
 
 
 # ----------------------------------------------------------------------
@@ -562,8 +568,12 @@ def entropy_fast(probs: Dict[Any, float]) -> Optional[float]:
 
     _count_call("entropy")
     values = np_.fromiter(probs.values(), dtype=np_.float64, count=len(probs))
-    terms = values * _exact_log2(np_, values)
-    return -ordered_sum(terms)
+    return _entropy_of_array(np_, values)
+
+
+def _entropy_of_array(np_: Any, values: Any) -> float:
+    """``-Σ p log2 p`` over positive float64 ``values`` in array order."""
+    return -ordered_sum(values * _exact_log2(np_, values))
 
 
 def kl_divergence_fast(posterior: Any, prior: Any) -> Optional[float]:
@@ -677,6 +687,15 @@ def conditional_mutual_information_fast(
     z_codes, _ = _encode_column(np_, items, g_index)
     a_codes, _ = _encode_column(np_, items, a_index)
     b_codes, _ = _encode_column(np_, items, b_index)
+    return _cmi_from_arrays(np_, p, a_codes, b_codes, z_codes)
+
+
+def _cmi_from_arrays(
+    np_: Any, p: Any, a_codes: Any, b_codes: Any, z_codes: Any
+) -> Optional[float]:
+    """``conditional_mutual_information`` over pre-encoded columns of
+    one joint law; ``z_codes`` must be first-seen codes.  ``None`` when
+    a conditioned slice fails the joint constructor's mass check."""
     nz = int(z_codes.max()) + 1
     pz = _marginal_probs(np_, z_codes, nz, p)
     row_order = np_.argsort(z_codes, kind="stable")
@@ -701,6 +720,199 @@ def conditional_mutual_information_fast(
         total += pz_list[z] * mi
         lo = hi
     return total
+
+
+# ----------------------------------------------------------------------
+# Information costs straight from a walk's leaf table (core.analysis)
+# ----------------------------------------------------------------------
+# The dict path turns a walk's leaf table into per-input laws, then a
+# tuple-keyed joint dict, then (in the kernels above) integer columns
+# again.  The folds below go from the leaf table to the columns with
+# array gathers, replaying every float operation of that path in order:
+# per-input normalization, the scenario products, the joint normalizer.
+class JointRows:
+    """The joint law of ``(scenario..., transcript)`` as row arrays, in
+    the item order of the dict joint law: scenario-major, and within a
+    scenario in its input's per-input DFS leaf order.
+
+    ``p`` holds the normalized row masses (the joint's stored floats),
+    ``scenario`` each row's scenario index and ``leaf`` its union-leaf
+    id, which codes the transcript column (distinct leaves are distinct
+    boards).
+    """
+
+    __slots__ = ("p", "scenario", "leaf", "_scenarios", "_inputs")
+
+    def __init__(
+        self,
+        p: Any,
+        scenario: Any,
+        leaf: Any,
+        scenarios: Sequence[Tuple],
+        scenario_inputs: Any,
+    ) -> None:
+        self.p = p
+        self.scenario = scenario
+        self.leaf = leaf
+        self._scenarios = scenarios
+        self._inputs = scenario_inputs
+
+    def component(self, index: int) -> Any:
+        """Per-row first-seen codes of scenario component ``index`` —
+        the codes :func:`_encode_column` gives that column of the dict
+        joint law (every scenario owns at least one row and rows are
+        scenario-major, so first seen among scenarios is first seen
+        among rows)."""
+        import numpy as np_
+
+        if index == 0 and all(type(s[0]) is tuple for s in self._scenarios):
+            # An exact tuple is its own input key, so the distinct-input
+            # indices (first-seen too) already code it, without hashing
+            # every input tuple again.
+            return self._inputs[self.scenario]
+        table: Dict[Any, int] = {}
+        codes = np_.fromiter(
+            (table.setdefault(s[index], len(table)) for s in self._scenarios),
+            dtype=np_.int64,
+            count=len(self._scenarios),
+        )
+        return codes[self.scenario]
+
+
+def _leaf_laws(np_: Any, counts_arr: Any, probs: Sequence[float]):
+    """Every input's normalized law over its leaf rows:
+    ``(row input index, row mass)``.
+
+    Per input this is the stored value of ``DiscreteDistribution(leaves,
+    normalize=True)``: a left-fold total (``np.add.at`` accumulates in
+    row order from ``0.0``), then ``p * (1.0 / total)`` — for a single
+    leaf the same ``p * (1.0 / p)``.  ``None`` when an input reaches no
+    leaf or a leaf carries no mass: the dict path rejects or drops
+    those, so it must run instead.
+    """
+    p = np_.array(probs, dtype=np_.float64)
+    if not ((counts_arr > 0).all() and (p > 0.0).all()):
+        return None
+    row_input = np_.repeat(np_.arange(counts_arr.shape[0]), counts_arr)
+    totals = np_.zeros(counts_arr.shape[0], dtype=np_.float64)
+    np_.add.at(totals, row_input, p)
+    return row_input, p * (1.0 / totals)[row_input]
+
+
+def joint_rows(
+    scenarios: Sequence[Tuple],
+    masses: Sequence[float],
+    scenario_inputs: Sequence[int],
+    leaf_table: Any,
+) -> Optional[JointRows]:
+    """The joint law of ``(scenario..., transcript)`` from a walk's
+    :class:`repro.core.tree.LeafTable`, or ``None`` to fall back to the
+    dict joint law.
+
+    ``scenarios[s]`` has mass ``masses[s]``; its first component holds
+    the player inputs, distinct input ``scenario_inputs[s]`` of the
+    table.  Each row's mass is the
+    dict path's ``0.0 + p_scenario * p_transcript`` (the ``0.0 +`` is
+    exact), and the joint normalizer is its left fold over the rows.
+    Any zero mass returns ``None``.  The caller picks the engine: the
+    dict joint law stays cheaper under :data:`_VECTOR_MIN_SUPPORT`
+    rows.
+    """
+    import numpy as np_
+
+    counts_arr = np_.array(leaf_table.counts, dtype=np_.int64)
+    inputs = np_.array(scenario_inputs, dtype=np_.int64)
+    sizes = counts_arr[inputs]
+    rows = int(sizes.sum())
+    laws = _leaf_laws(np_, counts_arr, leaf_table.probs)
+    if laws is None:
+        return None
+    law = laws[1]
+    scenario = np_.repeat(np_.arange(inputs.shape[0]), sizes)
+    # Row r of scenario s reads row (r - first row of s) of its input.
+    input_starts = np_.cumsum(counts_arr) - counts_arr
+    row_starts = np_.cumsum(sizes) - sizes
+    source = np_.arange(rows) + np_.repeat(
+        input_starts[inputs] - row_starts, sizes
+    )
+    raw = np_.array(masses, dtype=np_.float64)[scenario] * law[source]
+    if not (raw > 0.0).all():
+        return None
+    leaf = np_.array(leaf_table.leaf_ids, dtype=np_.int64)[source]
+    return JointRows(
+        raw * (1.0 / ordered_sum(raw)), scenario, leaf, scenarios, inputs
+    )
+
+
+def mutual_information_rows(p: Any, a_codes: Any, b_codes: Any) -> float:
+    """:func:`mutual_information_fast` over already-coded joint rows."""
+    import numpy as np_
+
+    _count_call("mutual_information")
+    return _mi_from_arrays(np_, p, a_codes, b_codes)
+
+
+def conditional_mutual_information_rows(
+    p: Any, a_codes: Any, b_codes: Any, z_codes: Any
+) -> Optional[float]:
+    """:func:`conditional_mutual_information_fast` over already-coded
+    joint rows (``z_codes`` first-seen), or ``None`` when a conditioned
+    slice fails the mass check — the dict path then raises the joint
+    constructor's error."""
+    import numpy as np_
+
+    _count_call("conditional_mutual_information")
+    return _cmi_from_arrays(np_, p, a_codes, b_codes, z_codes)
+
+
+def marginal_entropy_rows(p: Any, codes: Any) -> float:
+    """``entropy(joint.marginal(column))`` over joint rows: the marginal
+    accumulates and normalizes in first-seen order, and its entropy runs
+    the array kernel from :data:`_VECTOR_MIN_SUPPORT` outcomes and the
+    scalar fold below it, as :meth:`DiscreteDistribution.entropy`
+    does."""
+    import numpy as np_
+
+    fs_codes, _values, count = _first_seen_codes(np_, codes)
+    marginal = _marginal_probs(np_, fs_codes, count, p)
+    if count < _VECTOR_MIN_SUPPORT:
+        return scalar_entropy(marginal.tolist())
+    _count_call("entropy")
+    return _entropy_of_array(np_, marginal)
+
+
+def expected_bits(
+    leaf_table: Any,
+    weights: Sequence[float],
+    weight_inputs: Sequence[int],
+) -> Optional[float]:
+    """Expected bits written, ``Σ_x w_x Σ_ℓ Pr[ℓ | x] · |ℓ|``, from a
+    walk's :class:`repro.core.tree.LeafTable`, or ``None`` to fall back
+    to the per-input laws.
+
+    ``weights[i]`` is the mass of an input whose distinct-input index
+    is ``weight_inputs[i]``.  The inner sums are the per-input left
+    folds over each input's leaf rows, the outer sum a left fold over
+    ``weights`` — the float order of the fold over the laws.  Any zero
+    mass returns ``None``.  The caller picks the engine: the per-input
+    laws stay cheaper under :data:`_VECTOR_MIN_SUPPORT` rows.
+    """
+    import numpy as np_
+
+    counts_arr = np_.array(leaf_table.counts, dtype=np_.int64)
+    laws = _leaf_laws(np_, counts_arr, leaf_table.probs)
+    if laws is None:
+        return None
+    _count_call("expected_bits")
+    row_input, law = laws
+    bits = np_.array(
+        [leaf.bits_written for leaf in leaf_table.leaves], dtype=np_.float64
+    )
+    leaf_ids = np_.array(leaf_table.leaf_ids, dtype=np_.int64)
+    inner = np_.zeros(counts_arr.shape[0], dtype=np_.float64)
+    np_.add.at(inner, row_input, law * bits[leaf_ids])
+    owners = np_.array(weight_inputs, dtype=np_.int64)
+    return ordered_sum(np_.array(weights, dtype=np_.float64) * inner[owners])
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Sequence
 
-from ..information.distribution import DiscreteDistribution, JointDistribution
+from ..information.distribution import (
+    DiscreteDistribution,
+    JointDistribution,
+    left_sum,
+)
 from ..information.entropy import (
     conditional_mutual_information,
     entropy,
@@ -134,7 +138,7 @@ def expected_medium_communication(
     laws = medium_transcript_distributions(protocol, medium, input_dist)
     total = 0.0
     for inputs, p_inputs in input_dist.items():
-        total += p_inputs * sum(
+        total += p_inputs * left_sum(
             p * transcript.bits_written
             for transcript, p in laws[tuple(inputs)].items()
         )

@@ -37,10 +37,11 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from ..core.model import ProtocolViolation
 from ..core.tree import (
     DEFAULT_MAX_MESSAGES,
+    LeafTable,
     MessageDistributionMemo,
     _assemble_joint,
     _laws_from_leaf_table,
-    _population_laws,
+    _population_walk,
     _record_walk,
     _scenario_rows,
 )
@@ -174,7 +175,7 @@ def medium_transcript_distributions(
     distinct input takes the per-input DFS, a larger population the
     shared walk of :func:`medium_joint_transcript_distribution`.
     """
-    return _population_laws(
+    _keys, laws = _population_walk(
         protocol,
         inputs,
         lambda keys: _medium_laws_by_input(
@@ -182,6 +183,7 @@ def medium_transcript_distributions(
         ),
         tracer=tracer,
     )
+    return laws or {}
 
 
 def medium_joint_transcript_distribution(
@@ -262,9 +264,9 @@ def _medium_laws_by_input(
     k = protocol.num_players
     Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
     leaves_by_key: Dict[
-        Tuple[Any, ...], List[Tuple[Tuple[int, ...], LinkTranscript, float]]
+        Tuple[Any, ...], List[Tuple[Tuple[int, ...], int, float]]
     ] = {key: [] for key in input_keys}
-    union_leaves: Dict[LinkTranscript, None] = {}
+    union_leaves: List[LinkTranscript] = []
     nodes_expanded = 0
     max_depth = 0
     root_groups: Groups = {key: (1.0, ()) for key in input_keys}
@@ -283,9 +285,10 @@ def _medium_laws_by_input(
             max_depth = len(transcript)
         edge = protocol.next_edge(state, transcript)
         if edge is None:
-            union_leaves[transcript] = None
+            leaf_id = len(union_leaves)
+            union_leaves.append(transcript)
             for key, (prob, index_path) in groups.items():
-                leaves_by_key[key].append((index_path, transcript, prob))
+                leaves_by_key[key].append((index_path, leaf_id, prob))
             continue
         speaker, link = edge
         medium.check_edge(k, speaker, link)
@@ -336,15 +339,13 @@ def _medium_laws_by_input(
 
     # Each input's leaves in its per-input DFS order (descending
     # lexicographic index path), flattened into the core leaf table.
-    counts: List[int] = []
-    boards: List[LinkTranscript] = []
-    probs: List[float] = []
+    table = LeafTable([], [], [], union_leaves)
     for key in input_keys:
         entries = leaves_by_key[key]
         entries.sort(key=lambda entry: entry[0], reverse=True)
-        counts.append(len(entries))
-        for _path, leaf_transcript, prob in entries:
-            boards.append(leaf_transcript)
-            probs.append(prob)
-    laws = _laws_from_leaf_table(input_keys, (counts, boards, probs))
+        table.counts.append(len(entries))
+        for _path, leaf_id, prob in entries:
+            table.leaf_ids.append(leaf_id)
+            table.probs.append(prob)
+    laws = _laws_from_leaf_table(input_keys, table)
     return laws, nodes_expanded, len(union_leaves), max_depth

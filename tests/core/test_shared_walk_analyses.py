@@ -12,6 +12,8 @@ fold over an independent per-input DFS
 `legacy_population_analyses`, or the medium DFS for link transcripts).
 """
 
+import itertools
+
 import pytest
 
 from repro.check.generator import GeneratedCoordinatorProtocol, generate_case
@@ -247,17 +249,61 @@ def test_single_input_population_takes_the_dfs(monkeypatch):
     assert analysis.worst_case_communication(protocol, [x]) == 3
 
 
-def test_population_takes_the_array_walk():
-    protocol = SequentialAndProtocol(3)
+def _tree_walk_calls(protocol, inputs_list):
     enable_metrics(reset=True)
     try:
-        tree.transcript_distributions(protocol, [(1, 1, 1), (0, 1, 1)])
-        calls = REGISTRY.counter("kernel_vectorized_calls").value(
+        tree.transcript_distributions(protocol, inputs_list)
+        return REGISTRY.counter("kernel_vectorized_calls").value(
             op="tree_walk"
         )
     finally:
         disable_metrics()
-    assert calls == 1
+
+
+def test_population_takes_the_array_walk():
+    # From _VECTOR_MIN_SUPPORT (64) distinct inputs on.
+    inputs_list = list(itertools.product((0, 1), repeat=6))
+    assert len(inputs_list) == kernels._VECTOR_MIN_SUPPORT
+    assert _tree_walk_calls(SequentialAndProtocol(6), inputs_list) == 1
+
+
+def test_small_population_takes_the_dict_walk(monkeypatch):
+    protocol = SequentialAndProtocol(6)
+    inputs_list = list(itertools.product((0, 1), repeat=6))[1:]
+    expected = tree.transcript_distributions(protocol, inputs_list)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array walk called for a small population")
+
+    monkeypatch.setattr(kernels, "tree_walk_sorted_leaves", refuse)
+    laws = tree.transcript_distributions(protocol, inputs_list)
+    assert len(laws) == kernels._VECTOR_MIN_SUPPORT - 1
+    for key, law in laws.items():
+        assert list(law.items()) == list(expected[key].items())
+    assert _tree_walk_calls(protocol, inputs_list[:2]) == 0
+
+
+class _RaisingHook(SequentialAndProtocol):
+    """A protocol whose ``message_distribution`` raises ``TypeError``."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.calls = 0
+
+    def message_distribution(self, state, speaker, player_input, board):
+        self.calls += 1
+        raise TypeError("hook failure")
+
+
+@pytest.mark.parametrize("size", [2, 64], ids=["dict-walk", "array-walk"])
+def test_hook_type_error_propagates_from_one_call(size):
+    # The first question is asked once; its error is not retried on
+    # another engine.
+    protocol = _RaisingHook(6)
+    inputs_list = list(itertools.product((0, 1), repeat=6))[:size]
+    with pytest.raises(TypeError, match="hook failure"):
+        tree.transcript_distributions(protocol, inputs_list)
+    assert protocol.calls == 1
 
 
 def test_single_leaf_law_matches_generic_constructor():

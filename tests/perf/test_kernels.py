@@ -60,11 +60,11 @@ from repro.protocols import (
 )
 
 
-def _no_dense_coding(*_args, **_kwargs):
-    """Stand-in for the array tree walk that rejects every population,
-    as unhashable input coordinates do, so ``core.tree`` takes its dict
-    walk."""
-    raise TypeError("population is not dense-codable")
+def _array_walk_forbidden(*_args, **_kwargs):
+    """Stand-in for the array tree walk on the scalar side: with the
+    support threshold out of reach every population takes the dict
+    walk, so a call here is a wrong engine choice."""
+    pytest.fail("array tree walk called with the scalar engine forced")
 
 
 @pytest.fixture
@@ -72,7 +72,9 @@ def both_engines(monkeypatch):
     """``run(compute)`` evaluates ``compute()`` with every input threshold
     forced to the scalar engine, then to the vectorized one, and returns
     the pair.  The ``kernel_vectorized_calls`` counter proves each side
-    ran the engine it was forced onto."""
+    ran the engine it was forced onto.  ``_VECTOR_MIN_SUPPORT`` also
+    picks the tree walk (dict walk below it, array walk from it on) and
+    the leaf-table folds of ``core.analysis``."""
 
     def counted(compute):
         enable_metrics(reset=True)
@@ -86,7 +88,9 @@ def both_engines(monkeypatch):
         with monkeypatch.context() as scalar:
             scalar.setattr(kernels, "_VECTOR_MIN_SUPPORT", math.inf)
             scalar.setattr(kernels, "_E14_CELL_CAP", 0)
-            scalar.setattr(kernels, "tree_walk_sorted_leaves", _no_dense_coding)
+            scalar.setattr(
+                kernels, "tree_walk_sorted_leaves", _array_walk_forbidden
+            )
             legacy, scalar_calls = counted(compute)
         with monkeypatch.context() as vector:
             vector.setattr(kernels, "_VECTOR_MIN_SUPPORT", 0)
@@ -106,13 +110,17 @@ def scenario_distribution(input_tuples):
 
 
 def assert_walks_identical(protocol, input_keys):
-    """The array walk and the dict walk return the same leaf table (and
+    """The array walk and the dict walk return the same leaf rows (and
     the same node, leaf and depth counts) on ``input_keys``."""
-    legacy = tree._legacy_walk_sorted_leaves(protocol, input_keys)
-    vectorized = kernels.tree_walk_sorted_leaves(
+    legacy_table, *legacy_sizes = tree._legacy_walk_sorted_leaves(
+        protocol, input_keys
+    )
+    vectorized_table, *vectorized_sizes = kernels.tree_walk_sorted_leaves(
         protocol, input_keys, max_messages=tree.DEFAULT_MAX_MESSAGES
     )
-    assert vectorized == legacy
+    assert vectorized_table.rows() == legacy_table.rows()
+    assert vectorized_table.counts == legacy_table.counts
+    assert vectorized_sizes == legacy_sizes
 
 
 def assert_joint_identical(legacy, vectorized):
@@ -346,9 +354,11 @@ class TestVectorizedCallCounter:
 
     def test_vectorized_ops_are_counted(self):
         enable_metrics(reset=True)
-        protocol = SequentialAndProtocol(3)
+        # 64 distinct inputs: populations below _VECTOR_MIN_SUPPORT take
+        # the dict walk.
+        protocol = SequentialAndProtocol(6)
         scenarios = scenario_distribution(
-            list(itertools.product((0, 1), repeat=3))
+            list(itertools.product((0, 1), repeat=6))
         )
         batched_joint_transcript_distribution(protocol, scenarios)
         kernels.simulate_trivial_disjointness(8, 2, (3, 5))
