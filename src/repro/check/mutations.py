@@ -30,7 +30,6 @@ import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.model import Message, Protocol, ProtocolViolation, Transcript
-from ..core.tree import MessageDistributionMemo
 from ..information.distribution import (
     DiscreteDistribution,
     JointDistribution,
@@ -402,7 +401,6 @@ def chain_rule_information(
     every transcript's sum, mimicking an off-by-one over rounds.
     """
     _check_bug(bug, CHAIN_RULE_BUGS)
-    memo = MessageDistributionMemo()
     per_input = {
         tuple(x): _legacy_transcript_distribution(protocol, x, None)
         for x in input_dist.support()
@@ -431,7 +429,9 @@ def chain_rule_information(
             for x in weights:
                 by_value.setdefault(x[speaker], []).append(x)
             dists = {
-                value: memo.distribution(protocol, state, speaker, value, board)
+                value: protocol.message_distribution(
+                    state, speaker, value, board
+                )
                 for value in by_value
             }
             mass = sum(weights[x] for x in weights)

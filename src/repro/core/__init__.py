@@ -36,7 +36,6 @@ from .tasks import (
     xor_task,
 )
 from .tree import (
-    MessageDistributionMemo,
     batched_joint_transcript_distribution,
     joint_transcript_distribution,
     reachable_transcripts,
@@ -69,7 +68,6 @@ __all__ = [
     "transcript_distribution",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
-    "MessageDistributionMemo",
     "reachable_transcripts",
     "transcript_joint",
     "conditional_transcript_joint",

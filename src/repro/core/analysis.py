@@ -26,13 +26,9 @@ worst-case analyses fold the per-input laws of
 :math:`IC_\\mu(\\Pi) \\le H(\\Pi) \\le |\\Pi|` (stated after Definition 5)
 is asserted by the test suite using these same functions.
 
-The information-cost entry points accept a ``medium=`` parameter
-(:mod:`repro.topology`): ``None`` is the blackboard below, any other
-medium routes the same functional through the medium-generalized
-enumeration with identical float discipline — the broadcast medium
-reproduces the legacy values exactly, and the per-*view* generalization
-of the per-player decompositions lives in
-:func:`repro.topology.analysis.per_view_information`.
+The same functionals on other media, and the per-*view* generalization
+of the per-player decompositions, live in :mod:`repro.topology.analysis`
+(the broadcast medium reproduces the values here exactly).
 """
 
 from __future__ import annotations
@@ -71,21 +67,15 @@ __all__ = [
 
 
 def transcript_joint(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, input_dist: DiscreteDistribution
 ) -> JointDistribution:
     """The exact joint law of ``(inputs, transcript)``.
 
     ``input_dist`` is over input tuples (one entry per player).  The
-    result has named components ``inputs`` and ``transcript``.  With a
-    non-``None`` ``medium`` the transcript component is a
-    :class:`~repro.topology.medium.LinkTranscript`.
+    result has named components ``inputs`` and ``transcript``.
     """
     return joint_transcript_distribution(
-        protocol, _input_scenarios(input_dist), names=("inputs",),
-        medium=medium,
+        protocol, _input_scenarios(input_dist), names=("inputs",)
     )
 
 
@@ -95,10 +85,7 @@ def _input_scenarios(input_dist: DiscreteDistribution) -> DiscreteDistribution:
 
 
 def conditional_transcript_joint(
-    protocol: Protocol,
-    mu: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, mu: DiscreteDistribution
 ) -> JointDistribution:
     """The exact joint law of ``(inputs, aux, transcript)``.
 
@@ -107,9 +94,7 @@ def conditional_transcript_joint(
     the special player :math:`Z` of the Section 4 hard distribution).
     """
     _check_aux_pairs(mu)
-    return joint_transcript_distribution(
-        protocol, mu, names=("inputs", "aux"), medium=medium
-    )
+    return joint_transcript_distribution(protocol, mu, names=("inputs", "aux"))
 
 
 def _check_aux_pairs(mu: DiscreteDistribution) -> None:
@@ -125,7 +110,6 @@ def _joint_functional(
     protocol: Protocol,
     scenarios: DiscreteDistribution,
     names: Sequence[str],
-    medium: Optional[Any],
     array_fold: Callable[[Any], Optional[float]],
     joint_fold: Callable[[JointDistribution], float],
 ) -> float:
@@ -138,16 +122,9 @@ def _joint_functional(
     ``_VECTOR_MIN_SUPPORT`` rows, carries a zero mass, or ``array_fold``
     returns ``None``, the same leaf table builds the
     :class:`JointDistribution` of :func:`joint_transcript_distribution`
-    and ``joint_fold`` runs on it; a ``medium`` always takes that path.
-    Either way the walk runs once and emits one ``joint_enumerated``
-    event.
+    and ``joint_fold`` runs on it.  Either way the walk runs once and
+    emits one ``joint_enumerated`` event.
     """
-    if medium is not None:
-        return joint_fold(
-            joint_transcript_distribution(
-                protocol, scenarios, names=names, medium=medium
-            )
-        )
     from ..perf import kernels
 
     tracer = get_tracer()
@@ -156,8 +133,7 @@ def _joint_functional(
         protocol, scenarios, lambda scenario: scenario[0]
     )
     table, nodes_expanded, union_leaf_count, max_depth = tree._leaf_table(
-        protocol, input_keys, max_messages=tree.DEFAULT_MAX_MESSAGES,
-        memo=None,
+        protocol, input_keys, max_messages=tree.DEFAULT_MAX_MESSAGES
     )
     rows = None
     row_count = sum(map(table.counts.__getitem__, scenario_rows.inputs))
@@ -175,8 +151,6 @@ def _joint_functional(
             max_depth,
             tracer=tracer,
             reg=reg,
-            memo=None,
-            memo_before=(0, 0),
         )
         return value
     joint = tree._assemble_joint(
@@ -190,31 +164,20 @@ def _joint_functional(
         names=names,
         tracer=tracer,
         reg=reg,
-        memo=None,
-        memo_before=(0, 0),
     )
     return joint_fold(joint)
 
 
 def external_information_cost(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, input_dist: DiscreteDistribution
 ) -> float:
-    """External information cost :math:`I(\\Pi; X)` in bits (Definition 5).
-
-    ``medium`` generalizes the transcript to an arbitrary communication
-    medium; the broadcast medium reproduces the blackboard value
-    exactly.
-    """
+    """External information cost :math:`I(\\Pi; X)` in bits (Definition 5)."""
     from ..perf import kernels
 
     return _joint_functional(
         protocol,
         _input_scenarios(input_dist),
         ("inputs",),
-        medium,
         lambda rows: kernels.mutual_information_rows(
             rows.p, rows.leaf, rows.component(0)
         ),
@@ -223,10 +186,7 @@ def external_information_cost(
 
 
 def conditional_information_cost(
-    protocol: Protocol,
-    mu: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, mu: DiscreteDistribution
 ) -> float:
     """Conditional information cost :math:`I(\\Pi; X \\mid D)` in bits
     (Definition 6), for ``mu`` over ``(inputs, aux)`` pairs."""
@@ -237,7 +197,6 @@ def conditional_information_cost(
         protocol,
         mu,
         ("inputs", "aux"),
-        medium,
         lambda rows: kernels.conditional_mutual_information_rows(
             rows.p, rows.leaf, rows.component(0), rows.component(1)
         ),
@@ -276,10 +235,7 @@ def internal_information_cost(
 
 
 def transcript_entropy(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, input_dist: DiscreteDistribution
 ) -> float:
     """The entropy :math:`H(\\Pi)` of the transcript in bits.
 
@@ -293,7 +249,6 @@ def transcript_entropy(
         protocol,
         _input_scenarios(input_dist),
         ("inputs",),
-        medium,
         lambda rows: kernels.marginal_entropy_rows(rows.p, rows.leaf),
         lambda joint: entropy(joint.marginal("transcript")),
     )
@@ -349,38 +304,32 @@ def worst_case_error(
 
 
 def expected_communication(
-    protocol: Protocol,
-    input_dist: DiscreteDistribution,
-    *,
-    medium: Optional[Any] = None,
+    protocol: Protocol, input_dist: DiscreteDistribution
 ) -> float:
     """The exact expected number of bits written, under ``input_dist`` and
     the protocol's private coins.
 
-    On the blackboard the shared walk's leaf table is folded as arrays
+    The shared walk's leaf table is folded as arrays
     (:func:`repro.perf.kernels.expected_bits`) from
-    ``_VECTOR_MIN_SUPPORT`` rows on; smaller tables, and any medium,
-    fold the per-input laws in the same float order."""
-    if medium is None:
-        from ..perf import kernels
+    ``_VECTOR_MIN_SUPPORT`` rows on; smaller tables fold the per-input
+    laws in the same float order."""
+    from ..perf import kernels
 
-        input_keys, table = tree._population_leaf_table(protocol, input_dist)
-        if len(table.probs) >= kernels._VECTOR_MIN_SUPPORT:
-            items = list(input_dist.items())
-            if len(input_keys) == len(items):
-                # Distinct outcomes, distinct keys: outcome i is input i.
-                owners: Sequence[int] = range(len(items))
-            else:
-                index = {key: j for j, key in enumerate(input_keys)}
-                owners = [index[tuple(inputs)] for inputs, _p in items]
-            value = kernels.expected_bits(
-                table, [p_inputs for _inputs, p_inputs in items], owners
-            )
-            if value is not None:
-                return value
-        laws = tree._laws_from_leaf_table(input_keys, table)
-    else:
-        laws = transcript_distributions(protocol, input_dist, medium=medium)
+    input_keys, table = tree._population_leaf_table(protocol, input_dist)
+    if len(table.probs) >= kernels._VECTOR_MIN_SUPPORT:
+        items = list(input_dist.items())
+        if len(input_keys) == len(items):
+            # Distinct outcomes, distinct keys: outcome i is input i.
+            owners: Sequence[int] = range(len(items))
+        else:
+            index = {key: j for j, key in enumerate(input_keys)}
+            owners = [index[tuple(inputs)] for inputs, _p in items]
+        value = kernels.expected_bits(
+            table, [p_inputs for _inputs, p_inputs in items], owners
+        )
+        if value is not None:
+            return value
+    laws = tree._laws_from_leaf_table(input_keys, table)
     total = 0.0
     for inputs, p_inputs in input_dist.items():
         total += p_inputs * left_sum(

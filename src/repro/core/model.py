@@ -44,13 +44,17 @@ Model discipline enforced/auditable here:
 Position in the media hierarchy: the blackboard is the *broadcast*
 instance of the pluggable communication media of :mod:`repro.topology`
 — a single shared link every node reads and writes, whose scheduler
-sees the full board.  This module stays the canonical, optimized
-implementation of that instance (every broadcast experiment and the
-vectorized kernels run through it); :class:`~repro.topology.protocol.
-BroadcastAdapter` lifts any :class:`Protocol` into the generalized
+sees the full board.  Board protocols are written against this module
+and run on that instance directly (every broadcast experiment and the
+vectorized kernels run through it).  The exact walks of
+:mod:`repro.core.tree` are shared: a turn rule picks the board's
+:class:`Message` or a medium's link message.  Other media are reached
+only through :mod:`repro.topology`, whose
+:class:`~repro.topology.protocol.BroadcastAdapter` lifts any
+:class:`Protocol` into the generalized
 :class:`~repro.topology.protocol.MediumProtocol` interface
-bit-identically, and the coordinator / graph media generalize the model
-to restricted visibility (per-node *views*).  See docs/topology.md.
+bit-identically; the coordinator / graph media generalize the model to
+restricted visibility (per-node *views*).  See docs/topology.md.
 """
 
 from __future__ import annotations

@@ -66,8 +66,7 @@ def run_protocol(
     rng: Optional[random.Random] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    medium: Optional[Any] = None,
-) -> Any:
+) -> ProtocolRun:
     """Execute ``protocol`` once on ``inputs``.
 
     Parameters
@@ -90,36 +89,14 @@ def run_protocol(
         (a no-op unless one was installed via ``repro.obs``).  Tracing
         never touches ``rng``, so traced and untraced executions are
         identical.
-    medium:
-        ``None`` (the default) runs the blackboard engine below and
-        returns a :class:`ProtocolRun`.  A :class:`~repro.topology.
-        medium.Medium` switches to the medium-generalized runtime and
-        returns a :class:`~repro.topology.runtime.MediumRun` instead —
-        a legacy protocol is adapted automatically when the medium is
-        broadcast (bit-identical: same transcript, output, bits, and
-        rng consumption, pinned by the topology regression tests), and
-        rejected on any other medium.
 
     Returns
     -------
     ProtocolRun
         The transcript, output, realized communication in bits, and the
-        number of messages (rounds of speech).  With a non-``None``
-        ``medium``, a :class:`~repro.topology.runtime.MediumRun` with
-        per-link accounting.
+        number of messages (rounds of speech).  Other media run through
+        :func:`repro.topology.runtime.run_on_medium`.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.runtime import run_on_medium
-
-        return run_on_medium(
-            as_medium_protocol(protocol, medium),
-            medium,
-            inputs,
-            rng=rng,
-            max_messages=max_messages,
-            tracer=tracer,
-        )
     if tracer is None:
         tracer = get_tracer()
     if tracer:
@@ -148,6 +125,7 @@ def _execute(
     # default NullTracer this makes the per-message cost a plain local
     # bool check rather than a __bool__ method call.
     traced = bool(tracer)
+    k = protocol.num_players
     state = protocol.initial_state()
     bits = 0
     board = Transcript()
@@ -166,7 +144,7 @@ def _execute(
                 name = type(protocol).__name__
                 reg.counter("runner_executions").inc(protocol=name)
                 reg.counter("bits_written").inc(
-                    bits, protocol=name, players=protocol.num_players
+                    bits, protocol=name, players=k
                 )
                 reg.counter("runner_messages").inc(
                     len(board), protocol=name
@@ -177,7 +155,7 @@ def _execute(
                 bits_communicated=bits,
                 rounds=len(board),
             )
-        if not 0 <= speaker < protocol.num_players:
+        if not isinstance(speaker, int) or not 0 <= speaker < k:
             raise ProtocolViolation(
                 f"next_speaker returned invalid player {speaker!r}"
             )

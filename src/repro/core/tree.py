@@ -43,9 +43,20 @@ Entry points
   call and one subtree.  Distinct input tuples whose behaviors coincide
   along a prefix therefore cost one node expansion instead of many — the
   ``tree_nodes_expanded`` counter drops accordingly.
-* :class:`MessageDistributionMemo` — an optional cross-call memo for
-  ``message_distribution`` results, for workloads that re-enumerate the
-  same protocol many times.
+
+Boards and media
+----------------
+The per-input DFS and the dict shared walk are the exact walks of every
+medium, not only of the board.  Each takes a :class:`TurnRule`, chosen
+once per call: the board's (:func:`board_turns`) asks ``next_speaker``
+and writes a :class:`Message`; a medium's
+(:func:`repro.topology.tree.medium_turns`) asks ``next_edge``, checks
+the edge against the medium and writes a
+:class:`~repro.topology.medium.LinkMessage`.  A speaker with no input
+(the coordinator, a relay) does not split the population: every input
+tuple shares its message law, the Lemma 3 partition with a trivial
+coordinate.  The array walk of :mod:`repro.perf.kernels` stays
+board-only.
 
 Bit-identity contract
 ---------------------
@@ -79,7 +90,6 @@ from ..obs.trace import Tracer, get_tracer
 from .model import Message, Protocol, ProtocolViolation, Transcript
 
 __all__ = [
-    "MessageDistributionMemo",
     "transcript_distribution",
     "joint_transcript_distribution",
     "batched_joint_transcript_distribution",
@@ -93,15 +103,13 @@ DEFAULT_MAX_MESSAGES = 100_000
 #: Probabilities below this threshold are treated as unreachable branches.
 _PRUNE_BELOW = 0.0
 
-_MISSING = object()
-
 
 class LeafTable(NamedTuple):
     """One shared walk's leaves, as flat per-row lists.
 
     Every walk engine (the per-input DFS, the dict walk, the array walk
-    of :mod:`repro.perf.kernels`, the medium dict walk) returns this
-    shape.  Rows are grouped by distinct input, in input order —
+    of :mod:`repro.perf.kernels`) returns this shape, on every medium.
+    Rows are grouped by distinct input, in input order —
     ``counts[j]`` rows for input ``j`` — and within an input they come
     in that input's per-input DFS leaf order (descending lexicographic
     child-index path), which pins every downstream float fold.  Leaf ids
@@ -126,82 +134,47 @@ class LeafTable(NamedTuple):
         return list(zip(owners, boards, self.probs))
 
 
-class MessageDistributionMemo:
-    """An optional memo for ``Protocol.message_distribution`` calls.
+class TurnRule(NamedTuple):
+    """Whose turn it is and what a message looks like: the one thing the
+    board and the media of :mod:`repro.topology` walk differently.
 
-    Protocol hooks are pure functions, so the distribution returned for a
-    given ``(state, speaker, player_input, board)`` is reusable across
-    enumerations.  The exact analyzer never asks the same question twice
-    *within* one walk (boards are unique along a walk, and a shared walk
-    asks once per distinct speaker input), but callers that re-enumerate
-    one protocol across calls repeat the identical call at every shared
-    board prefix.
-
-    The key is ``(protocol, speaker, player_input, state, board)``; the
-    protocol object itself is part of the key, so one memo may be shared
-    across protocol instances.  States that are unhashable fall back to
-    calling through (counted separately), so the memo is always safe to
-    pass.  Returned distributions are the *same objects* as the first
-    call's, which preserves bit-identical downstream arithmetic.
-
-    Observability: the analyzer entry points flush :attr:`hits` /
-    :attr:`misses` deltas into the ``tree_memo_hits`` /
-    ``tree_memo_misses`` counters of :data:`repro.obs.REGISTRY` (labeled
-    by protocol class) whenever metrics collection is enabled.
+    Speakers ``0..num_players-1`` hold an input; a speaker ``>=
+    num_players`` (a coordinator, a relay) holds none, is asked with
+    ``player_input=None`` and carries the whole population on one
+    branch.
     """
 
-    __slots__ = ("_cache", "hits", "misses", "uncacheable")
+    #: ``(state, transcript) -> (speaker, link)``, or ``None`` to halt.
+    #: Raises :class:`ProtocolViolation` for a speaker that is not an
+    #: ``int`` naming a node.
+    turn: Callable[[Any, Any], Optional[Tuple[int, Any]]]
+    #: ``(speaker, link, bits) -> message``.
+    message: Callable[[int, Any, str], Any]
+    #: The transcript class; the walk starts from its empty instance.
+    transcript: Callable[[], Any]
 
-    def __init__(self) -> None:
-        self._cache: Dict[Any, DiscreteDistribution] = {}
-        self.hits = 0
-        self.misses = 0
-        self.uncacheable = 0
 
-    def __len__(self) -> int:
-        return len(self._cache)
+def board_turns(protocol: Protocol) -> TurnRule:
+    """The blackboard's turn rule: ``next_speaker`` names a player, who
+    writes a :class:`Message` on the board (its link is ``None``)."""
+    k = protocol.num_players
+    next_speaker = protocol.next_speaker
 
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def distribution(
-        self,
-        protocol: Protocol,
-        state: Any,
-        speaker: int,
-        player_input: Any,
-        board: Transcript,
-    ) -> DiscreteDistribution:
-        """``protocol.message_distribution(...)``, memoized."""
-        try:
-            key = (protocol, speaker, player_input, state, board)
-            cached = self._cache.get(key, _MISSING)
-        except TypeError:  # unhashable state or input
-            self.uncacheable += 1
-            return protocol.message_distribution(
-                state, speaker, player_input, board
+    def turn(state: Any, board: Transcript) -> Optional[Tuple[int, Any]]:
+        speaker = next_speaker(state, board)
+        if speaker is None:
+            return None
+        if not isinstance(speaker, int) or not 0 <= speaker < k:
+            raise ProtocolViolation(
+                f"next_speaker returned invalid player {speaker!r}"
             )
-        if cached is not _MISSING:
-            self.hits += 1
-            return cached  # type: ignore[return-value]
-        self.misses += 1
-        dist = protocol.message_distribution(state, speaker, player_input, board)
-        self._cache[key] = dist
-        return dist
+        return speaker, None
+
+    return TurnRule(turn, _board_message, Transcript)
 
 
-def _flush_memo_counters(
-    reg, memo: Optional[MessageDistributionMemo], before: Tuple[int, int], name: str
-) -> None:
-    """Feed the per-call memo hit/miss deltas into the registry."""
-    if reg is None or memo is None:
-        return
-    hits = memo.hits - before[0]
-    misses = memo.misses - before[1]
-    if hits:
-        reg.counter("tree_memo_hits").inc(hits, protocol=name)
-    if misses:
-        reg.counter("tree_memo_misses").inc(misses, protocol=name)
+def _board_message(speaker: int, _link: Any, bits: str) -> Message:
+    return Message(speaker=speaker, bits=bits)
 
 
 def transcript_distribution(
@@ -210,25 +183,12 @@ def transcript_distribution(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
 ) -> DiscreteDistribution:
     """The exact law of the transcript ``Π(inputs)`` over private coins.
 
     For a deterministic protocol this is a point mass.  The walk is a DFS
     over the protocol tree, so its cost is the number of reachable
     (transcript prefix) nodes under this input.
-
-    ``memo`` optionally reuses ``message_distribution`` results across
-    calls (see :class:`MessageDistributionMemo`); results are unchanged.
-
-    ``medium`` parameterizes the communication medium: ``None`` keeps
-    the blackboard walk below (distribution over
-    :class:`Transcript`); a :class:`~repro.topology.medium.Medium`
-    delegates to :func:`repro.topology.tree.
-    medium_transcript_distribution` (distribution over
-    :class:`~repro.topology.medium.LinkTranscript`), auto-adapting a
-    legacy protocol on the broadcast medium with identical floats.
 
     Observability: each call emits one ``tree_enumerated`` trace event
     summarizing the walk (nodes expanded, leaves, max depth) and feeds
@@ -237,25 +197,27 @@ def transcript_distribution(
     deliberately not emitted — tree sizes are exponential and a trace
     must stay proportional to the number of *calls*, not nodes.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.tree import medium_transcript_distribution
+    return _transcript_law(
+        protocol, inputs, None, max_messages=max_messages, tracer=tracer
+    )
 
-        return medium_transcript_distribution(
-            as_medium_protocol(protocol, medium),
-            medium,
-            inputs,
-            max_messages=max_messages,
-            tracer=tracer,
-            memo=memo,
-        )
+
+def _transcript_law(
+    protocol: Any,
+    inputs: Sequence[Any],
+    turns: Optional[TurnRule],
+    *,
+    max_messages: int,
+    tracer: Optional[Tracer],
+) -> DiscreteDistribution:
+    """The body of :func:`transcript_distribution` under any turn rule
+    (``None``: the board's)."""
     if tracer is None:
         tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
-    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
     protocol.validate_inputs(inputs)
     leaves, nodes_expanded, max_depth = _dfs_leaves(
-        protocol, inputs, max_messages=max_messages, memo=memo
+        protocol, inputs, max_messages=max_messages, turns=turns
     )
     if tracer:
         tracer.event(
@@ -265,27 +227,30 @@ def transcript_distribution(
             leaves=len(leaves),
             max_depth=max_depth,
         )
-    _record_walk(
-        reg, protocol, nodes_expanded, len(leaves), max_depth, memo, memo_before
-    )
+    _record_walk(reg, protocol, nodes_expanded, len(leaves), max_depth)
     return DiscreteDistribution(leaves, normalize=True)
 
 
 def _dfs_leaves(
-    protocol: Protocol,
+    protocol: Any,
     inputs: Sequence[Any],
     *,
     max_messages: int,
-    memo: Optional[MessageDistributionMemo],
-) -> Tuple[Dict[Transcript, float], int, int]:
+    turns: Optional[TurnRule] = None,
+) -> Tuple[Dict[Any, float], int, int]:
     """The per-input DFS: ``(leaves, nodes_expanded, max_depth)``, with
-    ``leaves`` the unnormalized leaf masses in DFS arrival order."""
-    leaves: Dict[Transcript, float] = {}
+    ``leaves`` the unnormalized leaf masses in DFS arrival order.
+    ``turns`` defaults to the board's rule."""
+    if turns is None:
+        turns = board_turns(protocol)
+    turn, make_message = turns.turn, turns.message
+    k = protocol.num_players
+    leaves: Dict[Any, float] = {}
     nodes_expanded = 0
     max_depth = 0
     # Stack entries: (state, board, probability-so-far).
-    stack: List[Tuple[Any, Transcript, float]] = [
-        (protocol.initial_state(), Transcript(), 1.0)
+    stack: List[Tuple[Any, Any, float]] = [
+        (protocol.initial_state(), turns.transcript(), 1.0)
     ]
     while stack:
         state, board, prob = stack.pop()
@@ -297,28 +262,20 @@ def _dfs_leaves(
             )
         if len(board) > max_depth:
             max_depth = len(board)
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
+        edge = turn(state, board)
+        if edge is None:
             leaves[board] = leaves.get(board, 0.0) + prob
             continue
-        if not 0 <= speaker < protocol.num_players:
-            raise ProtocolViolation(
-                f"next_speaker returned invalid player {speaker!r}"
-            )
-        if memo is not None:
-            dist = memo.distribution(
-                protocol, state, speaker, inputs[speaker], board
-            )
-        else:
-            dist = protocol.message_distribution(
-                state, speaker, inputs[speaker], board
-            )
+        speaker, link = edge
+        dist = protocol.message_distribution(
+            state, speaker, inputs[speaker] if speaker < k else None, board
+        )
         for bits, p in dist.items():
             if p <= _PRUNE_BELOW:
                 continue
             if bits == "":
                 raise ProtocolViolation("protocols may not write empty messages")
-            message = Message(speaker=speaker, bits=bits)
+            message = make_message(speaker, link, bits)
             stack.append(
                 (
                     protocol.advance_state(state, message),
@@ -335,8 +292,6 @@ def _record_walk(
     nodes_expanded: int,
     leaf_count: int,
     max_depth: int,
-    memo: Optional[MessageDistributionMemo],
-    memo_before: Tuple[int, int],
 ) -> None:
     """Feed one walk's size into the registry's tree counters."""
     if reg is None:
@@ -346,7 +301,6 @@ def _record_walk(
     reg.counter("tree_leaves").inc(leaf_count, protocol=name)
     reg.histogram("tree_depth").observe(max_depth, protocol=name)
     reg.histogram("tree_support").observe(leaf_count, protocol=name)
-    _flush_memo_counters(reg, memo, memo_before, name)
 
 
 def batched_joint_transcript_distribution(
@@ -357,8 +311,6 @@ def batched_joint_transcript_distribution(
     names: Optional[Sequence[str]] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``,
     computed with one shared walk of the protocol tree.
@@ -383,39 +335,40 @@ def batched_joint_transcript_distribution(
     names:
         Optional component names for the result; the transcript component
         is appended automatically as ``"transcript"``.
-    memo:
-        Optional :class:`MessageDistributionMemo` shared across calls.
-    medium:
-        ``None`` keeps the blackboard walk; a :class:`~repro.topology.
-        medium.Medium` delegates to :func:`repro.topology.tree.
-        medium_joint_transcript_distribution` (transcript component is a
-        :class:`~repro.topology.medium.LinkTranscript`).
 
     Returns
     -------
     JointDistribution
         Over tuples ``scenario + (transcript,)``.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.tree import medium_joint_transcript_distribution
+    return _joint_law(
+        protocol,
+        scenarios,
+        inputs_of,
+        None,
+        names=names,
+        max_messages=max_messages,
+        tracer=tracer,
+    )
 
-        return medium_joint_transcript_distribution(
-            as_medium_protocol(protocol, medium),
-            medium,
-            scenarios,
-            inputs_of,
-            names=names,
-            max_messages=max_messages,
-            tracer=tracer,
-            memo=memo,
-        )
+
+def _joint_law(
+    protocol: Any,
+    scenarios: DiscreteDistribution,
+    inputs_of: Optional[Callable[[Any], Sequence[Any]]],
+    turns: Optional[TurnRule],
+    *,
+    names: Optional[Sequence[str]],
+    max_messages: int,
+    tracer: Optional[Tracer],
+) -> JointDistribution:
+    """The body of :func:`batched_joint_transcript_distribution` under
+    any turn rule (``None``: the board's)."""
     if inputs_of is None:
         inputs_of = lambda scenario: scenario[0]  # noqa: E731
     if tracer is None:
         tracer = get_tracer()
     reg = REGISTRY if REGISTRY.enabled else None
-    memo_before = (memo.hits, memo.misses) if memo is not None else (0, 0)
 
     # Pass 1: collect scenarios and the distinct input tuples behind them
     # (distinct scenarios may share an input tuple, e.g. different values
@@ -423,7 +376,9 @@ def batched_joint_transcript_distribution(
     scenario_rows, input_keys = _scenario_rows(protocol, scenarios, inputs_of)
     # Passes 2-3: every distinct input's transcript law from one walk.
     transcripts_by_key, nodes_expanded, union_leaf_count, max_depth = (
-        _laws_by_input(protocol, input_keys, max_messages=max_messages, memo=memo)
+        _laws_by_input(
+            protocol, input_keys, max_messages=max_messages, turns=turns
+        )
     )
     return _assemble_joint(
         protocol,
@@ -436,8 +391,6 @@ def batched_joint_transcript_distribution(
         names=names,
         tracer=tracer,
         reg=reg,
-        memo=memo,
-        memo_before=memo_before,
     )
 
 
@@ -447,7 +400,6 @@ def transcript_distributions(
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    medium: Optional[Any] = None,
 ) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
     """The exact transcript law of every input tuple in a population,
     from one shared walk of the protocol tree.
@@ -458,29 +410,30 @@ def transcript_distributions(
     population analyses of :mod:`repro.core.analysis` fold over.
 
     The engine is picked from the population (see :func:`_leaf_table`).
-    ``medium`` delegates to
-    :func:`repro.topology.tree.medium_transcript_distributions` (laws
-    over :class:`~repro.topology.medium.LinkTranscript`).
 
     Observability: one ``laws_enumerated`` trace event per call plus the
     same ``tree_*`` counters and histograms as the other entry points.
     """
-    if medium is not None:
-        from ..topology.protocol import as_medium_protocol
-        from ..topology.tree import medium_transcript_distributions
+    return _transcript_laws(
+        protocol, inputs, None, max_messages=max_messages, tracer=tracer
+    )
 
-        return medium_transcript_distributions(
-            as_medium_protocol(protocol, medium),
-            medium,
-            inputs,
-            max_messages=max_messages,
-            tracer=tracer,
-        )
+
+def _transcript_laws(
+    protocol: Any,
+    inputs: Iterable[Sequence[Any]],
+    turns: Optional[TurnRule],
+    *,
+    max_messages: int,
+    tracer: Optional[Tracer],
+) -> Dict[Tuple[Any, ...], DiscreteDistribution]:
+    """The body of :func:`transcript_distributions` under any turn rule
+    (``None``: the board's)."""
     _keys, laws = _population_walk(
         protocol,
         inputs,
         lambda keys: _laws_by_input(
-            protocol, keys, max_messages=max_messages, memo=None
+            protocol, keys, max_messages=max_messages, turns=turns
         ),
         tracer=tracer,
     )
@@ -501,7 +454,7 @@ def _population_leaf_table(
         protocol,
         inputs,
         lambda keys: _leaf_table(
-            protocol, keys, max_messages=DEFAULT_MAX_MESSAGES, memo=None
+            protocol, keys, max_messages=DEFAULT_MAX_MESSAGES
         ),
         tracer=tracer,
     )
@@ -514,7 +467,7 @@ def _population_walk(
     *,
     tracer: Optional[Tracer],
 ) -> Tuple[List[Tuple[Any, ...]], Any]:
-    """The body of the population entry points (board and medium):
+    """The body of the population entry points:
     distinct inputs, one ``walk`` returning ``(result, nodes_expanded,
     union_leaves, max_depth)``, the observability tail.  Returns
     ``(distinct inputs, result)``; ``result`` is ``None`` for an empty
@@ -535,10 +488,7 @@ def _population_walk(
             leaves=union_leaf_count,
             max_depth=max_depth,
         )
-    _record_walk(
-        reg, protocol, nodes_expanded, union_leaf_count, max_depth, None,
-        (0, 0),
-    )
+    _record_walk(reg, protocol, nodes_expanded, union_leaf_count, max_depth)
     return input_keys, result
 
 
@@ -593,22 +543,24 @@ def _scenario_rows(
 
 
 def _leaf_table(
-    protocol: Protocol,
+    protocol: Any,
     input_keys: List[Tuple[Any, ...]],
     *,
     max_messages: int,
-    memo: Optional[MessageDistributionMemo],
+    turns: Optional[TurnRule] = None,
 ) -> Tuple[LeafTable, int, int, int]:
     """Pass 2 of a joint law: one walk over the distinct inputs,
     ``(leaf table, nodes_expanded, union_leaves, max_depth)``.
 
-    The engine is picked from the population size, with no switch:
+    The engine is picked from the population and the turn rule, with no
+    switch:
 
     * one input takes the per-input DFS;
-    * fewer than ``kernels._VECTOR_MIN_SUPPORT`` inputs take the dict
-      walk (:func:`_legacy_walk_sorted_leaves`), whose per-node cost is
-      lower while the population is small;
-    * larger populations take the array walk of
+    * a medium's turn rule, or fewer than ``kernels._VECTOR_MIN_SUPPORT``
+      inputs on the board, take the dict walk
+      (:func:`_legacy_walk_sorted_leaves`), whose per-node cost is lower
+      while the population is small;
+    * larger board populations take the array walk of
       :func:`repro.perf.kernels.tree_walk_sorted_leaves`.
 
     Both shared walks run one DFS over the *union* protocol tree, each
@@ -621,7 +573,7 @@ def _leaf_table(
     """
     if len(input_keys) == 1:
         leaves, nodes_expanded, max_depth = _dfs_leaves(
-            protocol, input_keys[0], max_messages=max_messages, memo=memo
+            protocol, input_keys[0], max_messages=max_messages, turns=turns
         )
         table = LeafTable(
             [len(leaves)], list(range(len(leaves))), list(leaves.values()),
@@ -631,24 +583,26 @@ def _leaf_table(
 
     from ..perf import kernels
 
-    if len(input_keys) < kernels._VECTOR_MIN_SUPPORT:
-        walk = _legacy_walk_sorted_leaves
-    else:
-        walk = kernels.tree_walk_sorted_leaves
-    return walk(protocol, input_keys, max_messages=max_messages, memo=memo)
+    if turns is not None or len(input_keys) < kernels._VECTOR_MIN_SUPPORT:
+        return _legacy_walk_sorted_leaves(
+            protocol, input_keys, max_messages=max_messages, turns=turns
+        )
+    return kernels.tree_walk_sorted_leaves(
+        protocol, input_keys, max_messages=max_messages
+    )
 
 
 def _laws_by_input(
-    protocol: Protocol,
+    protocol: Any,
     input_keys: List[Tuple[Any, ...]],
     *,
     max_messages: int,
-    memo: Optional[MessageDistributionMemo],
+    turns: Optional[TurnRule] = None,
 ) -> Tuple[Dict[Tuple[Any, ...], DiscreteDistribution], int, int, int]:
     """Passes 2-3: each distinct input's transcript law,
     ``(laws, nodes_expanded, union_leaves, max_depth)``."""
     table, nodes_expanded, union_leaf_count, max_depth = _leaf_table(
-        protocol, input_keys, max_messages=max_messages, memo=memo
+        protocol, input_keys, max_messages=max_messages, turns=turns
     )
     laws = _laws_from_leaf_table(input_keys, table)
     return laws, nodes_expanded, union_leaf_count, max_depth
@@ -686,32 +640,37 @@ def _laws_from_leaf_table(
 
 
 def _legacy_walk_sorted_leaves(
-    protocol: Protocol,
+    protocol: Any,
     input_keys: Sequence[Tuple[Any, ...]],
     *,
     max_messages: int = DEFAULT_MAX_MESSAGES,
-    memo: Optional[MessageDistributionMemo] = None,
+    turns: Optional[TurnRule] = None,
 ) -> Tuple[LeafTable, int, int, int]:
-    """The dict-driven shared walk: the engine for populations below
-    ``kernels._VECTOR_MIN_SUPPORT`` inputs, and the reference the
-    bit-identity tests and the ``vectorized-vs-legacy`` oracle compare
-    the array walk against.
+    """The dict-driven shared walk: the engine of every medium and of
+    board populations below ``kernels._VECTOR_MIN_SUPPORT`` inputs, and
+    the reference the bit-identity tests and the
+    ``vectorized-vs-legacy`` oracle compare the array walk against.
+    ``turns`` defaults to the board's rule.
 
     Returns ``(leaf_table, nodes_expanded, union_leaves, max_depth)``
     — the same contract as
     :func:`repro.perf.kernels.tree_walk_sorted_leaves`, so the caller's
     folds are engine-independent.
     """
+    if turns is None:
+        turns = board_turns(protocol)
+    turn, make_message = turns.turn, turns.message
+    k = protocol.num_players
     Groups = Dict[Tuple[Any, ...], Tuple[float, Tuple[int, ...]]]
     leaves_by_key: Dict[
         Tuple[Any, ...], List[Tuple[Tuple[int, ...], int, float]]
     ] = {key: [] for key in input_keys}
-    union_leaves: List[Transcript] = []
+    union_leaves: List[Any] = []
     nodes_expanded = 0
     max_depth = 0
     root_groups: Groups = {key: (1.0, ()) for key in input_keys}
-    stack: List[Tuple[Any, Transcript, Groups]] = [
-        (protocol.initial_state(), Transcript(), root_groups)
+    stack: List[Tuple[Any, Any, Groups]] = [
+        (protocol.initial_state(), turns.transcript(), root_groups)
     ]
     while stack:
         state, board, groups = stack.pop()
@@ -723,8 +682,8 @@ def _legacy_walk_sorted_leaves(
             )
         if len(board) > max_depth:
             max_depth = len(board)
-        speaker = protocol.next_speaker(state, board)
-        if speaker is None:
+        edge = turn(state, board)
+        if edge is None:
             # Every node of the union tree has its own board, so each
             # leaf is new here.
             leaf_id = len(union_leaves)
@@ -732,25 +691,22 @@ def _legacy_walk_sorted_leaves(
             for key, (prob, index_path) in groups.items():
                 leaves_by_key[key].append((index_path, leaf_id, prob))
             continue
-        if not 0 <= speaker < protocol.num_players:
-            raise ProtocolViolation(
-                f"next_speaker returned invalid player {speaker!r}"
-            )
+        speaker, link = edge
         # Partition the population by the speaking player's input — the
         # only coordinate the next message law may depend on (Lemma 3).
+        # An input-less speaker keys every tuple to None: the whole
+        # population shares one message law and one subtree.
         partitions: Dict[Any, List[Tuple[Any, ...]]] = {}
-        for key in groups:
-            partitions.setdefault(key[speaker], []).append(key)
-        children: Dict[str, Tuple[Message, Groups]] = {}
+        if speaker < k:
+            for key in groups:
+                partitions.setdefault(key[speaker], []).append(key)
+        else:
+            partitions[None] = list(groups)
+        children: Dict[str, Tuple[Any, Groups]] = {}
         for speaker_input, keys in partitions.items():
-            if memo is not None:
-                dist = memo.distribution(
-                    protocol, state, speaker, speaker_input, board
-                )
-            else:
-                dist = protocol.message_distribution(
-                    state, speaker, speaker_input, board
-                )
+            dist = protocol.message_distribution(
+                state, speaker, speaker_input, board
+            )
             for index, (bits, p) in enumerate(dist.items()):
                 if p <= _PRUNE_BELOW:
                     continue
@@ -761,7 +717,7 @@ def _legacy_walk_sorted_leaves(
                 child = children.get(bits)
                 if child is None:
                     child = children[bits] = (
-                        Message(speaker=speaker, bits=bits),
+                        make_message(speaker, link, bits),
                         {},
                     )
                 child_groups = child[1]
@@ -802,8 +758,6 @@ def _assemble_joint(
     names: Optional[Sequence[str]],
     tracer: Optional[Tracer],
     reg,
-    memo: Optional[MessageDistributionMemo],
-    memo_before: Tuple[int, int],
 ) -> JointDistribution:
     """Scenario-mass accumulation + observability tail shared by every
     walk engine (identical float fold either way).  ``transcripts_by_key``
@@ -825,8 +779,6 @@ def _assemble_joint(
         max_depth,
         tracer=tracer,
         reg=reg,
-        memo=memo,
-        memo_before=memo_before,
     )
     full_names = None
     if names is not None:
@@ -845,8 +797,6 @@ def _observe_joint(
     *,
     tracer: Optional[Tracer],
     reg,
-    memo: Optional[MessageDistributionMemo],
-    memo_before: Tuple[int, int],
 ) -> None:
     """The observability tail of one joint law, whether it was built as
     a dict or folded as row arrays: the ``joint_enumerated`` event and
@@ -862,10 +812,7 @@ def _observe_joint(
             max_depth=max_depth,
             batched=True,
         )
-    _record_walk(
-        reg, protocol, nodes_expanded, union_leaf_count, max_depth, memo,
-        memo_before,
-    )
+    _record_walk(reg, protocol, nodes_expanded, union_leaf_count, max_depth)
 
 
 def joint_transcript_distribution(
@@ -876,8 +823,6 @@ def joint_transcript_distribution(
     names: Optional[Sequence[str]] = None,
     max_messages: int = DEFAULT_MAX_MESSAGES,
     tracer: Optional[Tracer] = None,
-    memo: Optional[MessageDistributionMemo] = None,
-    medium: Optional[Any] = None,
 ) -> JointDistribution:
     """The exact joint law of ``(scenario components..., transcript)``.
 
@@ -893,8 +838,6 @@ def joint_transcript_distribution(
         names=names,
         max_messages=max_messages,
         tracer=tracer,
-        memo=memo,
-        medium=medium,
     )
 
 

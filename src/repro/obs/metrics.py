@@ -30,8 +30,6 @@ Metric naming used by the instrumented subsystems:
 ``message_bits`` (histogram)          per-message bit lengths
 ``tree_nodes_expanded``               exact-analyzer nodes popped
 ``tree_leaves``                       distinct transcripts enumerated
-``tree_memo_hits``                    batched-walk memo hits, by protocol
-``tree_memo_misses``                  batched-walk memo misses, by protocol
 ``tree_depth`` (histogram)            enumeration depth per call
 ``tree_support`` (histogram)          transcript-support size per call
 ``topology_runs``                     medium-runtime executions
@@ -94,7 +92,8 @@ Metric naming used by the instrumented subsystems:
 ====================================  =======================================
 
 (tests/obs/test_metrics_inventory.py scans ``src/`` and fails if a
-counter or gauge is emitted that this table does not document.)
+metric is emitted that this table does not document, or if a row
+documents a metric that nothing emits.)
 """
 
 from __future__ import annotations

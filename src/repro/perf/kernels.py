@@ -186,7 +186,6 @@ def tree_walk_sorted_leaves(
     input_keys: Sequence[Tuple[Any, ...]],
     *,
     max_messages: int,
-    memo: Optional[Any] = None,
 ) -> Tuple[Tuple[List[int], List[Any], List[float]], int, int, int]:
     """One shared level-synchronous walk of the protocol tree over a
     population of input tuples, vectorized over the population.
@@ -314,7 +313,10 @@ def tree_walk_sorted_leaves(
                         lin_scale,
                     )
                 )
-            elif not 0 <= speaker < num_players:
+            elif (
+                not isinstance(speaker, int)
+                or not 0 <= speaker < num_players
+            ):
                 raise ProtocolViolation(
                     f"next_speaker returned invalid player {speaker!r}"
                 )
@@ -409,14 +411,9 @@ def tree_walk_sorted_leaves(
             for t in node_blocks:
                 blo = starts_l[t]
                 speaker_input = input_keys[int(idx_s[blo])][speaker]
-                if memo is not None:
-                    dist = memo.distribution(
-                        protocol, state, speaker, speaker_input, board
-                    )
-                else:
-                    dist = protocol.message_distribution(
-                        state, speaker, speaker_input, board
-                    )
+                dist = protocol.message_distribution(
+                    state, speaker, speaker_input, board
+                )
                 positive = 0
                 for index, (bits, p) in enumerate(dist.items()):
                     if p <= 0.0:

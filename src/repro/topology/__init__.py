@@ -44,7 +44,7 @@ from .medium import (
     ring_medium,
     star_medium,
 )
-from .protocol import BroadcastAdapter, MediumProtocol, as_medium_protocol
+from .protocol import BroadcastAdapter, MediumProtocol
 from .protocols import (
     CoordinatorAndProtocol,
     CoordinatorDisjointnessProtocol,
@@ -74,7 +74,6 @@ __all__ = [
     "ring_medium",
     "MediumProtocol",
     "BroadcastAdapter",
-    "as_medium_protocol",
     "MediumRun",
     "run_on_medium",
     "medium_transcript_distribution",

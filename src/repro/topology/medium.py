@@ -26,9 +26,10 @@ difference into a :class:`Medium`:
 Three concrete media ship:
 
 * :class:`BroadcastMedium` (singleton :data:`BROADCAST`) — the board,
-  a single :data:`BOARD_LINK` everyone reads and writes.  The legacy
-  :mod:`repro.core` stack *is* this medium's optimized engine; the
-  bit-identity pin in ``tests/topology`` holds the two equal.
+  a single :data:`BOARD_LINK` everyone reads and writes.
+  :mod:`repro.core` runs board protocols on it directly; the
+  bit-identity pin in ``tests/topology`` holds a
+  :class:`~repro.topology.protocol.BroadcastAdapter` here equal to it.
 * :class:`CoordinatorMedium` (singleton :data:`COORDINATOR`) — ``k``
   players plus a coordinator node ``k`` with one private link per
   player.  The coordinator holds no input (its ``player_input`` is
@@ -319,10 +320,14 @@ class Medium(abc.ABC):
 class BroadcastMedium(Medium):
     """The shared blackboard: one link, everyone reads and writes.
 
-    This is the paper's Section 3 model re-expressed as a medium.  The
-    optimized legacy engine (:func:`repro.core.runner.run_protocol`,
-    :mod:`repro.core.tree`) remains the production path for it; the
-    generalized runtime reproduces that engine bit for bit (transcripts,
+    This is the paper's Section 3 model re-expressed as a medium.
+    Board protocols run on it through :mod:`repro.core` directly
+    (:func:`~repro.core.runner.run_protocol`, the exact walks of
+    :mod:`repro.core.tree` under the board's turn rule, the array walk
+    and the bigint simulators).  A
+    :class:`~repro.topology.protocol.BroadcastAdapter` run here through
+    :mod:`repro.topology` — the runtime, and the same core walks under
+    the medium's turn rule — reproduces them bit for bit (transcripts,
     outputs, bits, rng stream, analyzer values), which
     ``tests/topology/test_bit_identity.py`` pins over every shipped and
     generated protocol.

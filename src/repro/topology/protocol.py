@@ -37,7 +37,7 @@ from ..core.model import Message, Protocol, ProtocolViolation, Transcript
 from ..information.distribution import DiscreteDistribution
 from .medium import BOARD_LINK, LinkMessage, LinkTranscript
 
-__all__ = ["MediumProtocol", "BroadcastAdapter", "as_medium_protocol"]
+__all__ = ["MediumProtocol", "BroadcastAdapter"]
 
 
 class MediumProtocol(abc.ABC):
@@ -184,27 +184,3 @@ class BroadcastAdapter(MediumProtocol):
 
     def __repr__(self) -> str:
         return f"BroadcastAdapter({self._protocol!r})"
-
-
-def as_medium_protocol(protocol: Any, medium: Any) -> MediumProtocol:
-    """Coerce ``protocol`` for execution on ``medium``.
-
-    The dispatch rule behind the ``medium=`` parameter of the legacy
-    entry points: a :class:`MediumProtocol` passes through; a legacy
-    broadcast :class:`~repro.core.model.Protocol` is wrapped in
-    :class:`BroadcastAdapter` when the medium is broadcast, and rejected
-    with a :class:`TypeError` otherwise (a board protocol has no notion
-    of which link to write on).
-    """
-    from .medium import BroadcastMedium
-
-    if isinstance(protocol, MediumProtocol):
-        return protocol
-    if isinstance(protocol, Protocol):
-        if isinstance(medium, BroadcastMedium):
-            return BroadcastAdapter(protocol)
-        raise TypeError(
-            f"legacy broadcast protocol {type(protocol).__name__} cannot "
-            f"run on medium {medium!r}; port it to MediumProtocol"
-        )
-    raise TypeError(f"not a protocol: {protocol!r}")

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.core import (
-    MessageDistributionMemo,
     batched_joint_transcript_distribution,
     joint_transcript_distribution,
     reachable_transcripts,
@@ -268,22 +267,6 @@ class TestBatchedEqualsPerInput:
             assert_bit_identical(traced, untraced)
         assert any(e.name == "joint_enumerated" for e in tracer.events)
 
-    def test_memoized_equals_unmemoized(self):
-        memo = MessageDistributionMemo()
-        for _, protocol, scenarios in CASES[:4]:
-            plain = joint_transcript_distribution(protocol, scenarios)
-            memoized = joint_transcript_distribution(
-                protocol, scenarios, memo=memo
-            )
-            assert_bit_identical(memoized, plain)
-        # Re-running with a warm memo must also be unchanged.
-        _, protocol, scenarios = CASES[0]
-        warm = joint_transcript_distribution(protocol, scenarios, memo=memo)
-        assert_bit_identical(
-            warm, joint_transcript_distribution(protocol, scenarios)
-        )
-        assert memo.hits > 0
-
 
 class TestNodeSharing:
     def test_fewer_nodes_on_and_hard_distribution(self):
@@ -333,28 +316,6 @@ class TestNodeSharing:
         finally:
             disable_metrics()
         assert batched_nodes < per_input_nodes
-
-
-class TestMessageDistributionMemo:
-    def test_hit_miss_accounting(self):
-        protocol = NoisySequentialAndProtocol(2, 0.25)
-        memo = MessageDistributionMemo()
-        transcript_distribution(protocol, (1, 1), memo=memo)
-        misses_after_first = memo.misses
-        assert misses_after_first > 0
-        assert memo.hits == 0
-        transcript_distribution(protocol, (1, 1), memo=memo)
-        assert memo.misses == misses_after_first
-        assert memo.hits == misses_after_first
-
-    def test_memoized_transcript_distribution_identical(self):
-        protocol = NoisySequentialAndProtocol(3, 0.125)
-        memo = MessageDistributionMemo()
-        plain = transcript_distribution(protocol, (1, 1, 0))
-        memoized = transcript_distribution(protocol, (1, 1, 0), memo=memo)
-        rerun = transcript_distribution(protocol, (1, 1, 0), memo=memo)
-        assert list(plain.items()) == list(memoized.items())
-        assert list(plain.items()) == list(rerun.items())
 
 
 class TestReachableTranscripts:

@@ -208,8 +208,7 @@ def test_zero_mass_leaf_falls_back():
     protocol = Underflow(4, 0.125)
     inputs_list = list(itertools.product((0, 1), repeat=4))
     table = tree._leaf_table(
-        protocol, inputs_list, max_messages=tree.DEFAULT_MAX_MESSAGES,
-        memo=None,
+        protocol, inputs_list, max_messages=tree.DEFAULT_MAX_MESSAGES
     )[0]
     assert min(table.probs) == 0.0
     scenario_rows, _keys = tree._scenario_rows(

@@ -38,7 +38,10 @@ from repro.topology.protocols import (
     CoordinatorAndProtocol,
     CoordinatorDisjointnessProtocol,
 )
-from repro.topology.tree import medium_transcript_distribution
+from repro.topology.tree import (
+    medium_transcript_distribution,
+    medium_transcript_distributions,
+)
 
 
 # ----------------------------------------------------------------------
@@ -209,17 +212,12 @@ def test_medium_analyses_bit_identical(protocol, inputs_list):
     assert topology_analysis.expected_medium_communication(
         protocol, COORDINATOR, input_dist
     ) == expected
-    assert analysis.expected_communication(
-        protocol, input_dist, medium=COORDINATOR
-    ) == expected
     produced = topology_analysis.per_link_communication(
         protocol, COORDINATOR, input_dist
     )
     expected = ref_per_link(protocol, COORDINATOR, input_dist)
     assert list(produced.items()) == list(expected.items())
-    laws = tree.transcript_distributions(
-        protocol, inputs_list, medium=COORDINATOR
-    )
+    laws = medium_transcript_distributions(protocol, COORDINATOR, inputs_list)
     for key, law in laws.items():
         reference = medium_transcript_distribution(protocol, COORDINATOR, key)
         assert list(law.items()) == list(reference.items())

@@ -1,9 +1,11 @@
-"""The metric inventory in ``repro.obs.metrics``'s docstring must cover
-every counter/gauge/histogram actually emitted anywhere in ``src/``.
+"""The metric inventory in ``repro.obs.metrics``'s docstring must match
+the counters/gauges/histograms actually emitted in ``src/``, both ways.
 
 The docstring table is the user-facing contract (mirrored in
 docs/observability.md); it went stale once — this test scans the source
-tree for emission sites so it cannot go stale silently again.
+tree for emission sites so it cannot go stale silently again, neither
+by a new metric missing from the table nor by a deleted metric
+lingering in it.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import repro.obs.metrics as metrics_mod
 
 SRC = Path(metrics_mod.__file__).resolve().parents[2]
 
-#: Matches REGISTRY.counter("name") / reg.gauge("name") / .histogram(...)
+#: Matches REGISTRY.counter("name") / reg.gauge("name") / .histogram(...),
+#: and ``self._count("name")``, the counter helper of
+#: ``repro.net.byzantine``.
 _EMIT = re.compile(
-    r"\.(counter|gauge|histogram)\(\s*[\"']([a-z0-9_]+)[\"']"
+    r"\.(counter|gauge|histogram|_count)\(\s*[\"']([a-z0-9_]+)[\"']"
 )
 
 #: Matches a ``double-backquoted`` metric name at the start of an
@@ -49,6 +53,7 @@ def test_scan_finds_known_emissions():
         "topology_runs",
         "topology_link_bits",
         "topology_view_rebuilds",
+        "net_byz_deliveries",
     ):
         assert name in emitted
 
@@ -60,6 +65,16 @@ def test_every_emitted_metric_is_documented():
     assert not missing, (
         "metrics emitted in src/ but absent from the inventory table in "
         f"repro/obs/metrics.py docstring: {missing}"
+    )
+
+
+def test_every_documented_metric_is_emitted():
+    documented = set(_DOCUMENTED.findall(metrics_mod.__doc__))
+    emitted = _emitted_metrics()
+    stale = sorted(documented - set(emitted))
+    assert not stale, (
+        "metrics in the inventory table of repro/obs/metrics.py "
+        f"docstring that nothing in src/ emits: {stale}"
     )
 
 

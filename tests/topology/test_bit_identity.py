@@ -4,14 +4,17 @@ reproduces the legacy blackboard semantics *exactly*.
 Over every registry protocol and a fuzz family of generated ones,
 ``run_on_medium(BroadcastAdapter(p), BROADCAST, ...)`` must produce the
 same transcript, output, bit count, **and RNG stream** as the legacy
-``run_protocol`` — and the medium-routed exact analyzer must reproduce
-the legacy transcript law and information costs to the last float
+``run_protocol`` — and the medium analyzer on the adapter must reproduce
+the board's transcript law and information costs to the last float
 (same distribution objects, same accumulation order).
 """
 
+import inspect
 import random
 
 import pytest
+
+import repro.core
 
 from repro.check.generator import generate_case
 from repro.core.analysis import (
@@ -23,7 +26,15 @@ from repro.core.runner import run_protocol
 from repro.core.tree import transcript_distribution
 from repro.information.distribution import DiscreteDistribution
 from repro.protocols import ALL_PROTOCOLS
-from repro.topology import BROADCAST, BroadcastAdapter, run_on_medium
+from repro.topology import (
+    BROADCAST,
+    BroadcastAdapter,
+    expected_medium_communication,
+    medium_external_information_cost,
+    medium_transcript_distribution,
+    medium_transcript_entropy,
+    run_on_medium,
+)
 
 #: How many inputs of each registry family the runner pin replays.
 INPUT_LIMIT = 24
@@ -81,9 +92,10 @@ def test_generated_protocols_bit_identical(index):
 
 
 class TestAnalyzerIdentity:
-    """``medium=BROADCAST`` routes through the topology tree walk and
-    must reproduce the legacy analyzer values exactly (``==`` on
-    floats, not approx)."""
+    """The medium analyzer on ``BroadcastAdapter(p)`` over
+    :data:`BROADCAST` runs the same walk as the board analyzer on ``p``
+    and must reproduce its values exactly (``==`` on floats, not
+    approx)."""
 
     def _cases(self):
         for case in ALL_PROTOCOLS:
@@ -99,8 +111,8 @@ class TestAnalyzerIdentity:
             protocol = case.build()
             for inputs in case.input_tuples()[:6]:
                 legacy = transcript_distribution(protocol, inputs)
-                routed = transcript_distribution(
-                    protocol, inputs, medium=BROADCAST
+                routed = medium_transcript_distribution(
+                    BroadcastAdapter(protocol), BROADCAST, inputs
                 )
                 projected = {
                     t.as_broadcast(): p for t, p in routed.items()
@@ -110,34 +122,31 @@ class TestAnalyzerIdentity:
     def test_information_costs_identical(self):
         for case in self._cases():
             protocol = case.build()
+            adapted = BroadcastAdapter(protocol)
             dist = DiscreteDistribution.uniform(case.input_tuples())
-            assert external_information_cost(
-                protocol, dist, medium=BROADCAST
+            assert medium_external_information_cost(
+                adapted, BROADCAST, dist
             ) == external_information_cost(protocol, dist)
-            assert transcript_entropy(
-                protocol, dist, medium=BROADCAST
+            assert medium_transcript_entropy(
+                adapted, BROADCAST, dist
             ) == transcript_entropy(protocol, dist)
-            assert expected_communication(
-                protocol, dist, medium=BROADCAST
+            assert expected_medium_communication(
+                adapted, BROADCAST, dist
             ) == expected_communication(protocol, dist)
 
     def test_generated_protocol_law_identical(self):
         case = generate_case(0, 3)
         protocol = case.protocol
-        assert external_information_cost(
-            protocol, case.input_dist, medium=BROADCAST
+        assert medium_external_information_cost(
+            BroadcastAdapter(protocol), BROADCAST, case.input_dist
         ) == external_information_cost(protocol, case.input_dist)
 
 
-def test_legacy_runner_medium_kwarg_routes():
-    """``run_protocol(..., medium=BROADCAST)`` returns the medium run."""
-    case = ALL_PROTOCOLS[0]
-    protocol = case.build()
-    inputs = case.input_tuples()[0]
-    legacy = run_protocol(protocol, inputs, rng=random.Random(5))
-    routed = run_protocol(
-        protocol, inputs, rng=random.Random(5), medium=BROADCAST
-    )
-    assert routed.transcript.as_broadcast() == legacy.transcript
-    assert routed.bits_communicated == legacy.bits_communicated
-    assert routed.output == legacy.output
+@pytest.mark.parametrize(
+    "name", [name for name in repro.core.__all__ if name[0].islower()]
+)
+def test_core_entry_points_take_no_medium(name):
+    """Media are reached through :mod:`repro.topology` alone: no
+    :mod:`repro.core` entry point takes a ``medium``."""
+    entry_point = getattr(repro.core, name)
+    assert "medium" not in inspect.signature(entry_point).parameters

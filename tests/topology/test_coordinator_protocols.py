@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.model import ProtocolViolation
 from repro.core.tasks import disjointness_task
-from repro.protocols import SequentialAndProtocol
 from repro.topology import (
     COORDINATOR,
     CoordinatorAndProtocol,
@@ -17,7 +16,6 @@ from repro.topology import (
     Link,
     RingTokenAndProtocol,
     TopologyViolation,
-    as_medium_protocol,
     ring_medium,
     run_on_medium,
     star_medium,
@@ -169,10 +167,6 @@ class TestTypedRejection:
 
         with pytest.raises(ProtocolViolation):
             run_on_medium(_BadNode(2, 2), COORDINATOR, (1, 2))
-
-    def test_legacy_protocol_cannot_run_on_coordinator(self):
-        with pytest.raises(TypeError):
-            as_medium_protocol(SequentialAndProtocol(3), COORDINATOR)
 
     def test_coordinator_protocol_rejected_off_its_medium(self):
         protocol = RingTokenAndProtocol(3)
